@@ -18,6 +18,7 @@ from .errors import (
     NotATreeError,
     NotPlanarError,
     OverlapError,
+    ParameterError,
     TooFewBoxesError,
     TooLargeError,
     TriangulationInfeasibleError,

@@ -34,6 +34,10 @@ class DuplicateIdError(CrownError):
         super().__init__(f"duplicate box id {box_id!r}")
 
 
+class ParameterError(CrownError, ValueError):
+    """A solver parameter lies outside its allowed range."""
+
+
 class TooLargeError(CrownError):
     """Instance exceeds the guard limits of an exact solver."""
 

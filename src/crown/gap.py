@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .errors import TooLargeError
+from .errors import ParameterError, TooLargeError
 from .geometry import rat
 
 EXACT_MAX_ITEMS = 12
@@ -68,6 +68,14 @@ class GapAssignment:
     value: Fraction
 
 
+def check_eps(eps) -> Fraction:
+    """``eps`` as a Fraction; ParameterError unless 0 < eps < 1."""
+    eps = rat(eps)
+    if not (0 < eps < 1):
+        raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    return eps
+
+
 def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) -> Tuple[int, ...]:
     """(1-eps)-approximate 0/1 knapsack; returns chosen item indices.
 
@@ -78,11 +86,9 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
     id-lexicographic determinism for free.
     """
     capacity = rat(capacity)
-    eps = rat(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must be in (0, 1)")
+    eps = check_eps(eps)
     if capacity < 0:
-        raise ValueError("capacity must be non-negative")
+        raise ParameterError("capacity must be non-negative")
 
     usable = [
         (idx, rat(s), rat(v))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import HierInfeasibleError, XInfeasibleError, YConflictError
+from .errors import HierInfeasibleError, ParameterError, XInfeasibleError, YConflictError
 from .geometry import BoxSpec, Layout, rat
 
 
@@ -277,16 +277,17 @@ def solve_hier(dag: EmbeddedDag, boxes: Mapping[str, BoxSpec], delta=None) -> La
     """Layout realizing every DAG edge as a vertical contact (overlap >= delta).
 
     Raises HierInfeasibleError with stage "embedding", "assign_y" or
-    "solve_x" and the sub-step's witness when no such layout exists.
+    "solve_x" and the sub-step's witness when no such layout exists, and
+    ParameterError when delta is not positive.
     """
-    violation = validate_embedding(dag)
-    if violation is not None:
-        raise HierInfeasibleError("embedding", violation)
     if delta is None:
         delta = default_delta(boxes)
     delta = rat(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ParameterError(f"delta must be positive, got {delta}")
+    violation = validate_embedding(dag)
+    if violation is not None:
+        raise HierInfeasibleError("embedding", violation)
 
     try:
         y = assign_y(dag, {v: boxes[v].h for v in dag.vertices})

@@ -9,6 +9,7 @@ most 6, and the best per-forest layout is kept.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -16,8 +17,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import networkx as nx
 from networkx.algorithms.planar_drawing import get_canonical_ordering, triangulate_embedding
 
-from .errors import NotATreeError, NotPlanarError
-from .gap import GapInstance, GapItem, gap_sequential
+from .errors import NotATreeError, NotPlanarError, ParameterError
+from .gap import GapInstance, GapItem, check_eps, gap_sequential
 from .geometry import (
     BoxSpec,
     Layout,
@@ -75,6 +76,14 @@ _CORNER_OFFSETS = (
 )
 
 
+def _check_star_params(eps, corner_candidates: Optional[int]) -> Fraction:
+    """``eps`` as a Fraction; ParameterError for eps outside (0, 1) or a
+    negative corner cap."""
+    if corner_candidates is not None and corner_candidates < 0:
+        raise ParameterError(f"corner_candidates must be >= 0, got {corner_candidates}")
+    return check_eps(eps)
+
+
 def _corner_pool(inst: StarInstance, cap: Optional[int]) -> List[int]:
     """Indices allowed as corner boxes.
 
@@ -103,9 +112,10 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
     returns the most profitable layout.  Leaves that end up unassigned are
     parked in a detached row below everything, touching nothing.
     ``corner_candidates`` restricts the corner pool (a speed knob for
-    large stars; leave None to keep the guarantee).
+    large stars; leave None to keep the guarantee).  Raises ParameterError
+    for eps outside (0, 1) or a negative ``corner_candidates``.
     """
-    eps = rat(eps)
+    eps = _check_star_params(eps, corner_candidates)
     c = inst.center
     pool = _corner_pool(inst, corner_candidates)
     subsets = sorted(
@@ -342,8 +352,10 @@ def max_crown_stars(
 
     The partition has k forests (2 for forests, at most 6 in general), so
     the best one carries at least 1/k of the realizable profit and the
-    star solver keeps its GAP share of that.
+    star solver keeps its GAP share of that.  Raises ParameterError for
+    eps outside (0, 1) or a negative ``corner_candidates``.
     """
+    _check_star_params(eps, corner_candidates)
     forests = partition_planar(graph)
     if not forests:
         return pack_components([singleton_layout(boxes[v]) for v in sorted(boxes)])
@@ -357,20 +369,66 @@ def max_crown_stars(
     return best_lay
 
 
+def _block_path(vblocks, bverts, a: str, b: str) -> Optional[List[int]]:
+    """Blocks on the block-cut-forest path from a to b; None when b is in
+    another component.  The path is unique, so breadth-first search finds
+    it; only cut vertices (in two or more blocks) lead on to new blocks."""
+    via: Dict[int, str] = {}  # block -> the vertex it was entered from
+    prev: Dict[str, Optional[int]] = {a: None}  # vertex -> block it was reached through
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for blk in vblocks[v]:
+            if blk in via:
+                continue
+            via[blk] = v
+            if b in bverts[blk]:
+                path = [blk]
+                while prev[v] is not None:
+                    path.append(prev[v])
+                    v = via[prev[v]]
+                return path
+            for u in bverts[blk]:
+                if u not in prev and len(vblocks[u]) > 1:
+                    prev[u] = blk
+                    queue.append(u)
+    return None
+
+
 def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     """Greedy maximal planar subgraph, richest edges first.
 
     Edges are tried in (profit descending, id pair) order and kept while
     the running graph stays planar, so planar inputs come back whole.
+    A graph is planar exactly when each of its blocks (biconnected
+    components) is, and adding (a, b) merges only the blocks on the
+    block-cut-forest path from a to b.  So each edge is tested against
+    that union of blocks alone, rejected without a test when the union
+    would exceed 3V-6 edges, and kept without a test when it joins two
+    components (a bridge).  The result is the same as testing the whole
+    running graph after every edge.
     """
     ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
-    g = nx.Graph()
-    g.add_nodes_from(sorted(graph.vertices))
     kept = ProfitGraph(graph.vertices)
-    for a, b, p in ranked:
-        g.add_edge(a, b)
-        if nx.check_planarity(g)[0]:
-            kept.add_edge(a, b, p)
+    bedges: Dict[int, List[Tuple[str, str]]] = {}  # block -> its edges
+    bverts: Dict[int, set] = {}  # block -> its vertices
+    vblocks: Dict[str, set] = {v: set() for v in graph.vertices}  # vertex -> its blocks
+    for new, (a, b, p) in enumerate(ranked):
+        path = _block_path(vblocks, bverts, a, b)
+        if path is None:
+            edges, verts = [(a, b)], {a, b}
         else:
-            g.remove_edge(a, b)
+            edges = [e for blk in path for e in bedges[blk]]
+            edges.append((a, b))
+            verts = set().union(*(bverts[blk] for blk in path))
+            if len(edges) > 3 * len(verts) - 6 or not nx.check_planarity(nx.Graph(edges))[0]:
+                continue
+            for blk in path:
+                del bedges[blk], bverts[blk]
+            for v in verts:
+                vblocks[v].difference_update(path)
+        bedges[new], bverts[new] = edges, verts
+        for v in verts:
+            vblocks[v].add(new)
+        kept.add_edge(a, b, p)
     return kept

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import networkx as nx
+
 from crown.gap import GapInstance
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag
@@ -136,6 +138,22 @@ def star_opt(inst: StarInstance) -> Fraction:
                     break
                 tb = (tb - 1) & rem
     return best
+
+
+def maximal_planar_subgraph_brute(graph: ProfitGraph) -> ProfitGraph:
+    """The greedy maximal planar subgraph, one whole-graph planarity test
+    per edge in (profit descending, id pair) order."""
+    ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
+    g = nx.Graph()
+    g.add_nodes_from(sorted(graph.vertices))
+    kept = ProfitGraph(graph.vertices)
+    for a, b, p in ranked:
+        g.add_edge(a, b)
+        if nx.check_planarity(g)[0]:
+            kept.add_edge(a, b, p)
+        else:
+            g.remove_edge(a, b)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +496,23 @@ def rand_degree_graph(rng: random.Random, n: int, dmax: int) -> ProfitGraph:
             g.add_edge(a, b, rand_frac(rng))
             deg[a] += 1
             deg[b] += 1
+    return g
+
+
+def rand_clustered_graph(rng: random.Random, n_max: int) -> ProfitGraph:
+    """Random graph of n_max/3..n_max vertices: 1-3 groups plus a few
+    isolated vertices, edges only inside a group at one of four densities
+    up to complete, profits 0..3 so ties are common."""
+    ids = [f"g{i:02d}" for i in range(rng.randrange(n_max // 3, n_max + 1))]
+    rng.shuffle(ids)
+    groups = rng.choice((1, 1, 2, 3))
+    # group -1 holds the isolated vertices
+    group = {v: -1 if rng.random() < 0.1 else rng.randrange(groups) for v in ids}
+    density = rng.choice((0.2, 0.5, 0.8, 1.0))
+    g = ProfitGraph(ids)
+    for a, b in combinations(ids, 2):
+        if group[a] == group[b] != -1 and rng.random() < density:
+            g.add_edge(a, b, rng.randrange(4))
     return g
 
 

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from crown.cli import main
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.serialize import (
@@ -193,3 +195,37 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     shutil.copy(REPO / "corpus" / "tides.txt", mini / "tides.txt")
     assert main(["bench", str(mini), "--algos", "frobnicate"]) == 2
     capsys.readouterr()
+
+
+def chain_dag(path):
+    dag = EmbeddedDag(("c", "s"), (("c", "s"),), {"s": ("c",), "c": ("s",)})
+    boxes = {v: BoxSpec(v, rat(2), rat(1)) for v in "cs"}
+    path.write_text(dumps_doc(dag_to_doc(dag, boxes)), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "{tri}", "--algo", "star-forest", "--eps", "2"],
+        ["layout", "{tri}", "--algo", "star-forest", "--eps", "0"],
+        ["layout", "{tri}", "--algo", "star-forest", "--corners", "-1"],
+        ["hier", "{dag}", "--delta", "0"],
+        ["hier", "{dag}", "--delta", "-1"],
+    ],
+)
+def test_bad_parameter_exits_2(tmp_path, argv):
+    tri, dag = tmp_path / "triangle.json", tmp_path / "dag.json"
+    triangle_instance(tri)
+    chain_dag(dag)
+    argv = [a.format(tri=tri, dag=dag) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "crown.cli", *argv],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(lines[0])["error"] == "ParameterError"

@@ -17,7 +17,12 @@ from crown.stars import (
     solve_star_forest,
 )
 
-from oracles import rand_star_instance, star_opt
+from oracles import (
+    maximal_planar_subgraph_brute,
+    rand_clustered_graph,
+    rand_star_instance,
+    star_opt,
+)
 
 EPS = Fraction(1, 10)
 ALPHA = (1 - EPS) / (2 - EPS)  # 9/19
@@ -173,6 +178,54 @@ def test_maximal_planar_subgraph_k33():
     g = ProfitGraph(left + right, {(u, v): rat(1) for u in left for v in right})
     sub = maximal_planar_subgraph(g)
     assert len(sub.edges()) == 8
+
+
+def complete(vs):
+    return {(u, v): rat(1) for i, u in enumerate(vs) for v in vs[i + 1 :]}
+
+
+def test_maximal_planar_subgraph_k5s_sharing_a_cut_vertex():
+    # a reject inside one K5 must not cost the other K5 an edge
+    left, right = "cabde", "cvwxy"
+    g = ProfitGraph(left + right, {**complete(left), **complete(right)})
+    sub = maximal_planar_subgraph(g)
+    assert len(sub.edges()) == 18
+    for side in (left, right):
+        assert sum(1 for a, b, _ in sub.edges() if a in side and b in side) == 9
+
+
+def test_maximal_planar_subgraph_k33_bridge_triangle():
+    left, right = "abc", "xyz"
+    edges = {(u, v): rat(1) for u in left for v in right}
+    edges.update(complete("pqr"))
+    edges[("c", "p")] = rat(1)
+    sub = maximal_planar_subgraph(ProfitGraph(left + right + "pqr", edges))
+    kept = {(a, b) for a, b, _ in sub.edges()}
+    assert len(kept) == 8 + 1 + 3
+    assert {("c", "p"), ("p", "q"), ("p", "r"), ("q", "r")} <= kept
+
+
+def test_maximal_planar_subgraph_keeps_forest():
+    edges = {
+        ("a", "b"): rat(3), ("a", "c"): rat(1), ("c", "d"): rat(2), ("c", "e"): rat(1),
+        ("f", "g"): rat(1), ("g", "h"): rat(5), ("i", "j"): rat(2),
+    }
+    g = ProfitGraph("abcdefghijk", edges)
+    sub = maximal_planar_subgraph(g)
+    assert sub.edges() == g.edges()
+    assert sub.vertices == g.vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_maximal_planar_subgraph_matches_whole_graph_greedy(seed):
+    import random
+
+    g = rand_clustered_graph(random.Random(seed), 12)
+    sub = maximal_planar_subgraph(g)
+    ref = maximal_planar_subgraph_brute(g)
+    assert sub.edges() == ref.edges()
+    assert sub.vertices == ref.vertices
 
 
 @settings(max_examples=40, deadline=None)
