@@ -32,7 +32,7 @@ from .extremal import (
     gen_power_squares,
     place_extremal,
 )
-from .gap import GapAssignment, GapInstance, GapItem, gap_exact, gap_sequential, knapsack_fptas
+from .gap import GapAssignment, GapInstance, GapItem, gap_sequential, knapsack_fptas
 from .geometry import (
     BoxSpec,
     Contact,

@@ -3,18 +3,17 @@
 Four subcommands: ``layout`` (profit-graph instances), ``hier``
 (embedded DAGs), ``tri`` (plane triangulations) and ``bench`` (corpus
 experiment).  Errors are reported as one-line JSON on stderr; exit code
-2 means the input was malformed, 3 means the instance was valid but has
-no layout.
+2 means a malformed input, command line or parameter, or a file that
+cannot be read or written; 3 means the instance was valid but has no
+layout.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,15 +85,16 @@ def _read_doc(path: str):
 
 
 def _emit(doc: dict, layout, labels, out_path, svg_path) -> None:
+    # The SVG goes first so that a failed write leaves stdout empty.
+    if svg_path:
+        Path(svg_path).write_text(
+            render_svg(layout, labels), encoding="utf-8"
+        )
     text = dumps_doc(doc)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if svg_path:
-        Path(svg_path).write_text(
-            render_svg(layout, labels), encoding="utf-8"
-        )
 
 
 def _frac_arg(text: str) -> Fraction:
@@ -104,19 +104,22 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 
+def _lay_out(algo: str, graph, boxes, args):
+    """Run one of ALGORITHMS with the --eps, --corners and --seed flags."""
+    if algo == "cycle-cover":
+        return max_crown_cycles(graph, boxes)
+    if algo == "star-forest":
+        planar = maximal_planar_subgraph(graph)
+        return max_crown_stars(planar, boxes, args.eps, args.corners)
+    return random_baseline(graph, boxes, args.seed)
+
+
 def cmd_layout(args) -> int:
     try:
         inst = parse_instance(_read_doc(args.instance))
     except FormatError as exc:
         return _fail(EXIT_MALFORMED, "format", str(exc))
-    boxes = inst.box_map()
-    if args.algo == "cycle-cover":
-        lay = max_crown_cycles(inst.graph, boxes)
-    elif args.algo == "star-forest":
-        planar = maximal_planar_subgraph(inst.graph)
-        lay = max_crown_stars(planar, boxes, args.eps, args.corners)
-    else:
-        lay = random_baseline(inst.graph, boxes, args.seed)
+    lay = _lay_out(args.algo, inst.graph, inst.box_map(), args)
     _emit(
         layout_to_doc(lay, inst.graph), lay, inst.labels, args.out, args.svg
     )
@@ -170,23 +173,15 @@ def _pct_1dp(realized: Fraction, total: Fraction) -> str:
 
 
 def _bench_document(doc_id, text, args, stopwords):
-    boxes, graph, _labels = document_instance(
-        text, args.k, stopwords, rank=args.lsa_rank
-    )
+    boxes, graph, _labels = document_instance(text, args.k, stopwords)
     total = graph.total_profit()
     if total == 0:
-        return doc_id, None
+        return None
     box_map = {b.id: b for b in boxes}
     rows = []
     for algo in args.algos:
         start = time.perf_counter()
-        if algo == "cycle-cover":
-            lay = max_crown_cycles(graph, box_map)
-        elif algo == "star-forest":
-            planar = maximal_planar_subgraph(graph)
-            lay = max_crown_stars(planar, box_map, args.eps, args.corners)
-        else:
-            lay = random_baseline(graph, box_map, args.seed)
+        lay = _lay_out(algo, graph, box_map, args)
         millis = int((time.perf_counter() - start) * 1000)
         realized = realized_profit(lay, graph)
         rows.append(
@@ -201,7 +196,7 @@ def _bench_document(doc_id, text, args, stopwords):
                 "_ratio": realized / total,
             }
         )
-    return doc_id, rows
+    return rows
 
 
 def cmd_bench(args) -> int:
@@ -212,34 +207,20 @@ def cmd_bench(args) -> int:
     docs = load_corpus(args.corpus)
     if not docs:
         return _fail(EXIT_MALFORMED, "format", f"no documents in {args.corpus}")
-    threads = max(1, int(os.environ.get("CROWN_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda d: _bench_document(d[0], d[1], args, stopwords),
-                    docs,
-                )
-            )
-    else:
-        results = [
-            _bench_document(doc_id, text, args, stopwords)
-            for doc_id, text in docs
-        ]
-    all_rows = []
-    for doc_id, rows in results:
+    all_rows, skipped = [], []
+    for doc_id, text in docs:
+        rows = _bench_document(doc_id, text, args, stopwords)
         if rows is None:
-            print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
-            continue
-        all_rows.extend(rows)
+            skipped.append(doc_id)
+        else:
+            all_rows.extend(rows)
     if not all_rows:
-        return _fail(1, "empty", "every document was skipped")
-    n_docs = len({r["doc_id"] for r in all_rows})
-    print(f"mean realized profit, k={args.k}, {n_docs} documents")
-    for algo in args.algos:
-        ratios = [r["_ratio"] for r in all_rows if r["algorithm"] == algo]
-        mean = sum(ratios, Fraction(0)) / len(ratios)
-        print(f"  {algo:<12} {_pct_1dp(mean, Fraction(1)):>6}%")
+        return _fail(
+            EXIT_MALFORMED, "empty", "every document has no profits", witness=skipped
+        )
+    for doc_id in skipped:
+        print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
+    # The CSV goes first so that a failed write leaves stdout empty.
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(
@@ -257,11 +238,24 @@ def cmd_bench(args) -> int:
             )
             writer.writeheader()
             writer.writerows(all_rows)
+    n_docs = len({r["doc_id"] for r in all_rows})
+    print(f"mean realized profit, k={args.k}, {n_docs} documents")
+    for algo in args.algos:
+        ratios = [r["_ratio"] for r in all_rows if r["algorithm"] == algo]
+        mean = sum(ratios, Fraction(0)) / len(ratios)
+        print(f"  {algo:<12} {_pct_1dp(mean, Fraction(1)):>6}%")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as the one-line JSON failure, exit 2."""
+
+    def error(self, message):
+        sys.exit(_fail(EXIT_MALFORMED, "usage", f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crown",
         description="Contact representations of rectangles with profits.",
     )
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="corner candidates per star (default 0: sides only)",
     )
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--lsa-rank", type=int, default=None)
     p_bench.add_argument("--stopwords", metavar="PATH")
     p_bench.add_argument("--csv", metavar="PATH")
     p_bench.set_defaults(func=cmd_bench)
@@ -327,6 +320,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CrownError as exc:
         return _fail(EXIT_MALFORMED, type(exc).__name__, str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(EXIT_MALFORMED, "io", str(exc))
 
 
 if __name__ == "__main__":

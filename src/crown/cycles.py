@@ -85,11 +85,11 @@ class CycleCover:
 # pairs; edges are ids into parallel arrays so parallel edges stay distinct.
 
 
-def _euler_orient(nodes, adj, alive) -> Dict[int, Tuple[object, object]]:
-    """Orient every alive edge along an Euler circuit of its component.
+def _euler_orient(nodes, adj) -> Dict[int, Tuple[object, object]]:
+    """Orient every edge of ``adj`` along an Euler circuit of its component.
 
-    All alive degrees are even.  Circuits start at the smallest node of
-    each component and always leave over the smallest (neighbor, edge id)
+    All degrees are even.  Circuits start at the smallest node of each
+    component and always leave over the smallest (neighbor, edge id)
     still unused, so the orientation is deterministic.
     """
     used = set()
@@ -100,7 +100,7 @@ def _euler_orient(nodes, adj, alive) -> Dict[int, Tuple[object, object]]:
         while stack:
             v = stack[-1]
             lst = adj[v]
-            while ptr[v] < len(lst) and (lst[ptr[v]][1] in used or lst[ptr[v]][1] not in alive):
+            while ptr[v] < len(lst) and lst[ptr[v]][1] in used:
                 ptr[v] += 1
             if ptr[v] == len(lst):
                 stack.pop()
@@ -176,21 +176,22 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
     for x in nodes:
         adj[x].sort()
 
-    alive = set(range(len(tails)))
     covers: List[Tuple[Edge, ...]] = []
     for _ in range(k):
-        orient = _euler_orient(nodes, adj, alive)
+        orient = _euler_orient(nodes, adj)
         out_edges = {x: [] for x in nodes}
         for eid, (u, v) in orient.items():
             out_edges[u].append((v, eid))
         for x in nodes:
             out_edges[x].sort()
         factor = _perfect_matching(nodes, out_edges)
-        alive.difference_update(factor)
+        gone = set(factor)
+        for x in nodes:
+            adj[x] = [e for e in adj[x] if e[1] not in gone]
         cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
         if cover:
             covers.append(tuple(cover))
-    assert not alive
+    assert not any(adj.values())
     return CycleCover(tuple(covers))
 
 

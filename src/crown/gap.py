@@ -3,10 +3,6 @@
 The approximate route runs one knapsack per bin, in bin order, over the
 items no earlier bin claimed.  With a (1-eps)-approximate knapsack this
 yields a (1-eps)/(2-eps) approximation of the optimal assignment value.
-
-``gap_exact`` is a guarded oracle: it optimizes over every map
-item -> bin-or-none via a subset dynamic program and refuses instances
-beyond 12 items or 4 bins.
 """
 
 from __future__ import annotations
@@ -16,11 +12,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .errors import ParameterError, TooLargeError
+from .errors import ParameterError
 from .geometry import rat
-
-EXACT_MAX_ITEMS = 12
-EXACT_MAX_BINS = 4
 
 
 @dataclass(frozen=True)
@@ -170,74 +163,4 @@ def gap_sequential(inst: GapInstance, eps) -> GapAssignment:
         (inst.items[i].values[where[i]] for i in range(n) if where[i] >= 0),
         Fraction(0),
     )
-    return GapAssignment(by_bin, unassigned, value)
-
-
-def gap_exact(inst: GapInstance) -> GapAssignment:
-    """Optimal assignment over all item->bin-or-none maps (guarded sizes)."""
-    n = len(inst.items)
-    nbins = len(inst.capacities)
-    if n > EXACT_MAX_ITEMS or nbins > EXACT_MAX_BINS:
-        raise TooLargeError(
-            f"gap_exact accepts at most {EXACT_MAX_ITEMS} items and "
-            f"{EXACT_MAX_BINS} bins (got {n} items, {nbins} bins)"
-        )
-    full = 1 << n
-
-    # Per bin: size and value of every item subset, by lowest-bit recursion.
-    feas_val: List[List] = []
-    for b in range(nbins):
-        sizes = [Fraction(0)] * full
-        values = [Fraction(0)] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            rest = mask ^ low
-            sizes[mask] = sizes[rest] + inst.items[i].sizes[b]
-            values[mask] = values[rest] + inst.items[i].values[b]
-        cap = inst.capacities[b]
-        feas_val.append([values[m] if sizes[m] <= cap else None for m in range(full)])
-
-    NEG = None
-    f = [NEG] * full
-    f[0] = Fraction(0)
-    choice: List[List[int]] = []
-    for b in range(nbins):
-        fv = feas_val[b]
-        g = [NEG] * full
-        pick = [0] * full
-        for s in range(full):
-            base = f[s]
-            if base is not None and (g[s] is None or base > g[s]):
-                g[s] = base
-                pick[s] = 0
-            t = s
-            while t:
-                if fv[t] is not None:
-                    rest = f[s ^ t]
-                    if rest is not None:
-                        cand = rest + fv[t]
-                        if g[s] is None or cand > g[s]:
-                            g[s] = cand
-                            pick[s] = t
-                t = (t - 1) & s
-        f = g
-        choice.append(pick)
-
-    best_mask = max(range(full), key=lambda s: (f[s] is not None, f[s] or 0, -s))
-    value = f[best_mask]
-    masks = [0] * nbins
-    s = best_mask
-    for b in range(nbins - 1, -1, -1):
-        t = choice[b][s]
-        masks[b] = t
-        s ^= t
-    by_bin = tuple(
-        tuple(inst.items[i].id for i in range(n) if masks[b] >> i & 1)
-        for b in range(nbins)
-    )
-    assigned = 0
-    for m in masks:
-        assigned |= m
-    unassigned = tuple(inst.items[i].id for i in range(n) if not assigned >> i & 1)
     return GapAssignment(by_bin, unassigned, value)

@@ -24,12 +24,17 @@ from random import Random
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidInstanceError
-from .geometry import BoxSpec, Layout, ProfitGraph, rat
+from .geometry import BoxSpec, Layout, ProfitGraph
 
 log = logging.getLogger("crown")
 
 GRID = Fraction(1, 64)
 COS_GRID = 1 << 20
+# Box sizing: tallest box height, shortest box height, width per letter
+# as a fraction of the height.
+BASE_H = Fraction(2)
+MIN_H = Fraction(1, 2)
+ASPECT = Fraction(11, 20)
 
 DEFAULT_STOPWORDS = frozenset(
     """
@@ -136,13 +141,11 @@ def _cosine_grid(t: int, a: int, b: int) -> Fraction:
     return Fraction(isqrt((t << 20) ** 2 // (a * b)), COS_GRID)
 
 
-def similarity_profits(stats: WordStats, k: int, rank: Optional[int] = None) -> ProfitGraph:
+def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
     """Profit graph over the top-k stems by frequency.
 
-    Default profits are exact cosine similarities of binary
-    sentence-incidence vectors; ``rank`` switches to LSA, replacing the
-    vectors by their rank-``rank`` SVD projection before the cosine.
-    Zero-similarity pairs carry no edge.
+    Profits are exact cosine similarities of binary sentence-incidence
+    vectors; zero-similarity pairs carry no edge.
     """
     if k < 2:
         raise InvalidInstanceError(f"need k >= 2, got {k}")
@@ -154,9 +157,6 @@ def similarity_profits(stats: WordStats, k: int, rank: Optional[int] = None) -> 
         for s in stems
     }
     graph = ProfitGraph(vertices=stems)
-    if rank is not None:
-        _lsa_profits(graph, stems, incidence, len(stats.sentences), rank)
-        return graph
     for i, a in enumerate(stems):
         for b in stems[i + 1 :]:
             t = len(incidence[a] & incidence[b])
@@ -166,31 +166,6 @@ def similarity_profits(stats: WordStats, k: int, rank: Optional[int] = None) -> 
             if p > 0:
                 graph.add_edge(a, b, p)
     return graph
-
-
-def _lsa_profits(graph, stems, incidence, n_sentences, rank) -> None:
-    import numpy as np
-
-    if rank < 1:
-        raise InvalidInstanceError(f"need rank >= 1, got {rank}")
-    if n_sentences == 0 or not stems:
-        return
-    m = np.zeros((len(stems), n_sentences))
-    for i, s in enumerate(stems):
-        for j in incidence[s]:
-            m[i, j] = 1.0
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    r = min(rank, len(sv))
-    vecs = u[:, :r] * sv[:r]
-    norms = np.sqrt((vecs * vecs).sum(axis=1))
-    for i, a in enumerate(stems):
-        for j in range(i + 1, len(stems)):
-            if norms[i] == 0 or norms[j] == 0:
-                continue
-            cos = float(vecs[i] @ vecs[j]) / float(norms[i] * norms[j])
-            p = Fraction(round(cos * COS_GRID), COS_GRID)
-            if p > 0:
-                graph.add_edge(a, stems[j], min(p, Fraction(1)))
 
 
 def round64(q: Fraction) -> Fraction:
@@ -203,19 +178,14 @@ def _round64_root(x: int, y: int, d: int) -> int:
 
 
 def box_dimensions(
-    stats: WordStats,
-    words: Optional[Sequence[str]] = None,
-    base_h=Fraction(2),
-    min_h=Fraction(1, 2),
-    aspect=Fraction(11, 20),
+    stats: WordStats, words: Optional[Sequence[str]] = None
 ) -> Dict[str, BoxSpec]:
     """Boxes sized by the square-root law.
 
-    height = base_h * sqrt(freq / max_freq), snapped to the 1/64 grid
-    and clamped to [min_h, base_h]; width = height * aspect * label
+    height = BASE_H * sqrt(freq / max_freq), snapped to the 1/64 grid
+    and clamped to [MIN_H, BASE_H]; width = height * ASPECT * label
     length, snapped to the same grid.
     """
-    base_h, min_h, aspect = rat(base_h), rat(min_h), rat(aspect)
     if words is None:
         words = sorted(stats.freq)
     if not words:
@@ -224,12 +194,12 @@ def box_dimensions(
     out: Dict[str, BoxSpec] = {}
     for s in words:
         n64 = _round64_root(
-            64 * base_h.numerator,
+            64 * BASE_H.numerator,
             stats.freq[s] * max_freq,
-            base_h.denominator * max_freq,
+            BASE_H.denominator * max_freq,
         )
-        h = min(max(Fraction(n64, 64), min_h), base_h)
-        w = max(round64(h * aspect * len(stats.label[s])), GRID)
+        h = min(max(Fraction(n64, 64), MIN_H), BASE_H)
+        w = max(round64(h * ASPECT * len(stats.label[s])), GRID)
         out[s] = BoxSpec(s, w, h)
     return out
 
@@ -293,19 +263,13 @@ def load_corpus(directory) -> List[Tuple[str, str]]:
 
 
 def document_instance(
-    text: str,
-    k: int,
-    stopwords=None,
-    base_h=Fraction(2),
-    min_h=Fraction(1, 2),
-    aspect=Fraction(11, 20),
-    rank: Optional[int] = None,
+    text: str, k: int, stopwords=None
 ) -> Tuple[List[BoxSpec], ProfitGraph, Dict[str, str]]:
     """Boxes (in rank order), profit graph, and display labels for one
     document."""
     stats = preprocess(text, stopwords)
-    graph = similarity_profits(stats, k, rank)
+    graph = similarity_profits(stats, k)
     stems = top_stems(stats, k)
-    dims = box_dimensions(stats, stems, base_h, min_h, aspect)
+    dims = box_dimensions(stats, stems)
     labels = {s: stats.label[s] for s in stems}
     return [dims[s] for s in stems], graph, labels

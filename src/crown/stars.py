@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import networkx as nx
 from networkx.algorithms.planar_drawing import get_canonical_ordering, triangulate_embedding
 
-from .errors import NotATreeError, NotPlanarError, ParameterError
+from .errors import NotATreeError, NotPlanarError, ParameterError, TooLargeError
 from .gap import GapInstance, GapItem, check_eps, gap_sequential
 from .geometry import (
     BoxSpec,
@@ -66,6 +66,11 @@ class StarForest:
         return [(s.center, leaf) for s in self.stars for leaf in s.leaves]
 
 
+# solve_star runs one GAP solve per corner subset of up to 4 pool leaves,
+# Theta(pool**4) in all; a 12-leaf pool takes under a second, a 20-leaf
+# one several.  Larger pools need a corner_candidates cap.
+MAX_CORNER_POOL = 12
+
 # Corner slots for the chosen corner boxes, in the fixed assignment order.
 # Each touches the center box (w0 x h0 at the origin) in a single point.
 _CORNER_OFFSETS = (
@@ -113,11 +118,18 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
     parked in a detached row below everything, touching nothing.
     ``corner_candidates`` restricts the corner pool (a speed knob for
     large stars; leave None to keep the guarantee).  Raises ParameterError
-    for eps outside (0, 1) or a negative ``corner_candidates``.
+    for eps outside (0, 1) or a negative ``corner_candidates``, and
+    TooLargeError when the corner pool holds more than MAX_CORNER_POOL
+    leaves.
     """
     eps = _check_star_params(eps, corner_candidates)
     c = inst.center
     pool = _corner_pool(inst, corner_candidates)
+    if len(pool) > MAX_CORNER_POOL:
+        raise TooLargeError(
+            f"corner enumeration accepts at most {MAX_CORNER_POOL} candidate "
+            f"leaves (got {len(pool)}); cap it with corner_candidates"
+        )
     subsets = sorted(
         s for r in range(min(4, len(pool)) + 1) for s in itertools.combinations(pool, r)
     )
@@ -353,7 +365,9 @@ def max_crown_stars(
     The partition has k forests (2 for forests, at most 6 in general), so
     the best one carries at least 1/k of the realizable profit and the
     star solver keeps its GAP share of that.  Raises ParameterError for
-    eps outside (0, 1) or a negative ``corner_candidates``.
+    eps outside (0, 1) or a negative ``corner_candidates``, and
+    TooLargeError for a star whose corner pool is too large (see
+    solve_star).
     """
     _check_star_params(eps, corner_candidates)
     forests = partition_planar(graph)

@@ -16,7 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from crown.gap import GapInstance
+from crown.errors import TooLargeError
+from crown.gap import GapAssignment, GapInstance
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag
 from crown.stars import StarInstance
@@ -64,6 +65,82 @@ def gap_brute(inst: GapInstance) -> Fraction:
 
     go(0, Fraction(0))
     return best
+
+
+# gap_exact refuses instances beyond these sizes: its subset DP is
+# O(bins * 3**items).
+EXACT_MAX_ITEMS = 12
+EXACT_MAX_BINS = 4
+
+
+def gap_exact(inst: GapInstance) -> GapAssignment:
+    """Optimal assignment over all item->bin-or-none maps (guarded sizes)."""
+    n = len(inst.items)
+    nbins = len(inst.capacities)
+    if n > EXACT_MAX_ITEMS or nbins > EXACT_MAX_BINS:
+        raise TooLargeError(
+            f"gap_exact accepts at most {EXACT_MAX_ITEMS} items and "
+            f"{EXACT_MAX_BINS} bins (got {n} items, {nbins} bins)"
+        )
+    full = 1 << n
+
+    # Per bin: size and value of every item subset, by lowest-bit recursion.
+    feas_val: List[List] = []
+    for b in range(nbins):
+        sizes = [Fraction(0)] * full
+        values = [Fraction(0)] * full
+        for mask in range(1, full):
+            low = mask & -mask
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            sizes[mask] = sizes[rest] + inst.items[i].sizes[b]
+            values[mask] = values[rest] + inst.items[i].values[b]
+        cap = inst.capacities[b]
+        feas_val.append([values[m] if sizes[m] <= cap else None for m in range(full)])
+
+    NEG = None
+    f = [NEG] * full
+    f[0] = Fraction(0)
+    choice: List[List[int]] = []
+    for b in range(nbins):
+        fv = feas_val[b]
+        g = [NEG] * full
+        pick = [0] * full
+        for s in range(full):
+            base = f[s]
+            if base is not None and (g[s] is None or base > g[s]):
+                g[s] = base
+                pick[s] = 0
+            t = s
+            while t:
+                if fv[t] is not None:
+                    rest = f[s ^ t]
+                    if rest is not None:
+                        cand = rest + fv[t]
+                        if g[s] is None or cand > g[s]:
+                            g[s] = cand
+                            pick[s] = t
+                t = (t - 1) & s
+        f = g
+        choice.append(pick)
+
+    best_mask = max(range(full), key=lambda s: (f[s] is not None, f[s] or 0, -s))
+    value = f[best_mask]
+    masks = [0] * nbins
+    s = best_mask
+    for b in range(nbins - 1, -1, -1):
+        t = choice[b][s]
+        masks[b] = t
+        s ^= t
+    by_bin = tuple(
+        tuple(inst.items[i].id for i in range(n) if masks[b] >> i & 1)
+        for b in range(nbins)
+    )
+    assigned = 0
+    for m in masks:
+        assigned |= m
+    unassigned = tuple(inst.items[i].id for i in range(n) if not assigned >> i & 1)
+    return GapAssignment(by_bin, unassigned, value)
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,44 @@ def test_bad_parameter_exits_2(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
     assert json.loads(lines[0])["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "{tri}", "-o", "{missing}/x.json"],
+        ["layout", "{tri}", "--svg", "{missing}/x.svg"],
+        ["bench", "{corpus}", "--csv", "{missing}/x.csv"],
+        ["bench", "{corpus}", "--stopwords", "{missing}/stop.txt"],
+        ["bench", "{corpus}", "--stopwords", "{latin1}"],
+        ["bench", "{flat}"],
+        ["layout", "{tri}", "--eps", "1/0"],
+        ["bench", "{corpus}", "--k", "7"],
+        ["frobnicate"],
+    ],
+)
+def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):
+    tri = tmp_path / "triangle.json"
+    triangle_instance(tri)
+    corpus, flat = tmp_path / "corpus", tmp_path / "flat"
+    corpus.mkdir()
+    (corpus / "doc.txt").write_text(
+        "alpha beta gamma. alpha beta. beta gamma delta.\n", encoding="utf-8"
+    )
+    flat.mkdir()
+    (flat / "doc.txt").write_text("alpha. beta. gamma.\n", encoding="utf-8")
+    latin1 = tmp_path / "stop.txt"
+    latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+    paths = dict(
+        tri=tri, corpus=corpus, flat=flat, latin1=latin1, missing=tmp_path / "missing"
+    )
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # argparse reports usage errors by exiting
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) >= {"error", "detail"}

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crown.errors import TooLargeError
-from crown.gap import GapInstance, GapItem, gap_exact, gap_sequential, knapsack_fptas
+from crown.gap import GapInstance, GapItem, gap_sequential, knapsack_fptas
 
-from oracles import gap_brute, knapsack_brute
+from oracles import gap_brute, gap_exact, knapsack_brute
 
 EPS = Fraction(1, 10)
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crown.errors import TooLargeError
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit, realizes
 from crown.stars import (
+    MAX_CORNER_POOL,
     StarInstance,
     max_crown_stars,
     maximal_planar_subgraph,
@@ -75,6 +77,17 @@ def test_star_layout_has_no_overlaps():
 
     detect_contacts(lay)
     assert set(lay.pos) == {"c", "l0", "l1", "l2", "l3", "l4"}
+
+
+def test_uncapped_corner_enumeration_is_guarded():
+    inst = star((4, 4), [(1, 1)] * (MAX_CORNER_POOL + 1))
+    with pytest.raises(TooLargeError):
+        solve_star(inst, EPS)
+    with pytest.raises(TooLargeError):
+        max_crown_stars(graph_of(inst), {b.id: b for b in (inst.center, *inst.leaves)}, EPS)
+    # a cap keeps the pool small, so the same star solves
+    lay = solve_star(inst, EPS, corner_candidates=4)
+    assert set(lay.pos) == {"c", *(l.id for l in inst.leaves)}
 
 
 def test_partition_tree_path():
