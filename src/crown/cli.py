@@ -205,8 +205,17 @@ def cmd_bench(args) -> int:
             return _fail(EXIT_MALFORMED, "format", f"unknown algorithm {algo!r}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     docs = load_corpus(args.corpus)
+    unread = sorted(
+        {path.stem for path in Path(args.corpus).glob("*.txt")}
+        - {doc_id for doc_id, _ in docs}
+    )
     if not docs:
-        return _fail(EXIT_MALFORMED, "format", f"no documents in {args.corpus}")
+        return _fail(
+            EXIT_MALFORMED,
+            "format",
+            f"no documents in {args.corpus}",
+            witness=unread or None,
+        )
     all_rows, skipped = [], []
     for doc_id, text in docs:
         rows = _bench_document(doc_id, text, args, stopwords)
@@ -218,6 +227,8 @@ def cmd_bench(args) -> int:
         return _fail(
             EXIT_MALFORMED, "empty", "every document has no profits", witness=skipped
         )
+    for doc_id in unread:
+        print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
     for doc_id in skipped:
         print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
     # The CSV goes first so that a failed write leaves stdout empty.

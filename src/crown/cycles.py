@@ -81,59 +81,72 @@ class CycleCover:
         return sum((graph.profit(a, b) for a, b in self.covers[index]), Fraction(0))
 
 
-# Multigraph scaffolding for the decomposition.  Nodes are (copy, vertex)
-# pairs; edges are ids into parallel arrays so parallel edges stay distinct.
+# Multigraph scaffolding for the decomposition.  Node copy * n + i is the
+# given copy (0 or 1) of the i-th vertex in sorted order, so integer nodes
+# sort exactly as (copy, vertex) pairs would; edges are ids into parallel
+# arrays so parallel edges stay distinct.
 
 
-def _euler_orient(nodes, adj) -> Dict[int, Tuple[object, object]]:
+def _euler_orient(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
     """Orient every edge of ``adj`` along an Euler circuit of its component.
 
     All degrees are even.  Circuits start at the smallest node of each
     component and always leave over the smallest (neighbor, edge id)
-    still unused, so the orientation is deterministic.
+    still unused, so the orientation is deterministic.  Returns the
+    sorted (head, edge id) out-list of every node: a node's out-edges are
+    taken in its adjacency order, so they come out sorted.
     """
-    used = set()
-    ptr = {v: 0 for v in nodes}
-    orient: Dict[int, Tuple[object, object]] = {}
-    for start in nodes:
+    used = bytearray(n_edges)
+    ptr = [0] * len(adj)
+    out_edges: List[List[Tuple[int, int]]] = [[] for _ in adj]
+    for start in range(len(adj)):
         stack = [start]
         while stack:
             v = stack[-1]
-            lst = adj[v]
-            while ptr[v] < len(lst) and lst[ptr[v]][1] in used:
-                ptr[v] += 1
-            if ptr[v] == len(lst):
-                stack.pop()
-                continue
-            u, eid = lst[ptr[v]]
-            used.add(eid)
-            orient[eid] = (v, u)
-            stack.append(u)
-    return orient
+            # Extend the trail from v until it gets stuck, then back up.
+            while True:
+                lst, i = adj[v], ptr[v]
+                while i < len(lst) and used[lst[i][1]]:
+                    i += 1
+                if i == len(lst):
+                    ptr[v] = i
+                    break
+                ptr[v] = i + 1
+                u, eid = lst[i]
+                used[eid] = 1
+                out_edges[v].append(lst[i])
+                stack.append(u)
+                v = u
+            stack.pop()
+    return out_edges
 
 
-def _perfect_matching(lefts, out_edges) -> List[int]:
+def _perfect_matching(out_edges) -> List[int]:
     """Perfect matching in a regular bipartite graph by augmenting paths.
 
-    ``out_edges[tail]`` lists (head, edge id) sorted; regularity
-    guarantees the matching saturates every tail.
+    ``out_edges[tail]`` lists (head, edge id) sorted; tails and heads are
+    both the nodes 0..len(out_edges)-1.  Regularity guarantees the
+    matching saturates every tail.
     """
-    match_of_head: Dict[object, Tuple[object, int]] = {}
+    size = len(out_edges)
+    tail_of = [-1] * size  # head -> matched tail
+    eid_of = [0] * size  # head -> matched edge id
 
-    def augment(tail, seen) -> int:
+    def augment(tail, seen) -> bool:
         for head, eid in out_edges[tail]:
-            if head in seen:
+            if seen[head]:
                 continue
-            seen.add(head)
-            if head not in match_of_head or augment(match_of_head[head][0], seen):
-                match_of_head[head] = (tail, eid)
+            seen[head] = 1
+            if tail_of[head] < 0 or augment(tail_of[head], seen):
+                tail_of[head] = tail
+                eid_of[head] = eid
                 return True
         return False
 
-    for tail in lefts:
-        if not augment(tail, set()):
+    for tail in range(size):
+        if not augment(tail, bytearray(size)):
             raise AssertionError("regular bipartite graph must have a perfect matching")
-    return sorted(eid for _, eid in match_of_head.values())
+    return sorted(eid_of)
 
 
 def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
@@ -150,48 +163,46 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:
         return CycleCover(())
-    k = -(-graph.max_degree() // 2)
+    deg = graph.degrees()
+    k = -(-max(deg.values()) // 2)
 
-    nodes = sorted((copy, v) for copy in (0, 1) for v in graph.vertices)
-    tails: List[Tuple[object, object]] = []
-    heads_: List[Tuple[object, object]] = []
+    order = sorted(graph.vertices)
+    n = len(order)
+    rank = {v: i for i, v in enumerate(order)}
+    tails: List[int] = []
+    heads: List[int] = []
     tag: List[Edge] = []
 
     def add(u, v, real):
         tails.append(u)
-        heads_.append(v)
+        heads.append(v)
         tag.append(real)
 
     for a, b in real_edges:
-        add((0, a), (0, b), (a, b))
-        add((1, a), (1, b), None)
-    for v in sorted(graph.vertices):
-        for _ in range(2 * k - graph.degree(v)):
-            add((0, v), (1, v), None)
+        add(rank[a], rank[b], (a, b))
+        add(n + rank[a], n + rank[b], None)
+    for i, v in enumerate(order):
+        for _ in range(2 * k - deg[v]):
+            add(i, n + i, None)
 
-    adj = {x: [] for x in nodes}
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(2 * n)]
     for eid in range(len(tails)):
-        adj[tails[eid]].append((heads_[eid], eid))
-        adj[heads_[eid]].append((tails[eid], eid))
-    for x in nodes:
-        adj[x].sort()
+        adj[tails[eid]].append((heads[eid], eid))
+        adj[heads[eid]].append((tails[eid], eid))
+    for lst in adj:
+        lst.sort()
 
     covers: List[Tuple[Edge, ...]] = []
     for _ in range(k):
-        orient = _euler_orient(nodes, adj)
-        out_edges = {x: [] for x in nodes}
-        for eid, (u, v) in orient.items():
-            out_edges[u].append((v, eid))
-        for x in nodes:
-            out_edges[x].sort()
-        factor = _perfect_matching(nodes, out_edges)
-        gone = set(factor)
-        for x in nodes:
-            adj[x] = [e for e in adj[x] if e[1] not in gone]
+        factor = _perfect_matching(_euler_orient(adj, len(tails)))
+        gone = bytearray(len(tails))
+        for eid in factor:
+            gone[eid] = 1
+        adj = [[e for e in lst if not gone[e[1]]] for lst in adj]
         cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
         if cover:
             covers.append(tuple(cover))
-    assert not any(adj.values())
+    assert not any(adj)
     return CycleCover(tuple(covers))
 
 

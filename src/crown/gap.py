@@ -12,8 +12,14 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, TooLargeError
 from .geometry import rat
+
+# Largest scaled value total the knapsack DP may index: it allocates two
+# lists of that many cells (top is about n^2 / eps).  At the limit one
+# call takes a fraction of a second for a few items and about two seconds
+# for 100; the benchmark workloads and the test suite stay below 3,000.
+MAX_KNAPSACK_TOP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,9 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
     of K = eps * v_max / n and the DP minimizes size per scaled value.
     Ties break toward smaller total size, then the lexicographically
     smallest index tuple, so callers that pass items in id order get
-    id-lexicographic determinism for free.
+    id-lexicographic determinism for free.  Raises TooLargeError when
+    the scaled values sum to more than MAX_KNAPSACK_TOP, before the table
+    is allocated.
     """
     capacity = rat(capacity)
     eps = check_eps(eps)
@@ -102,6 +110,11 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
     scaled = [(idx, int(s * den), int(v * scale)) for idx, s, v in usable]
 
     top = sum(sv for _, _, sv in scaled)
+    if top > MAX_KNAPSACK_TOP:
+        raise TooLargeError(
+            f"knapsack table of {top} scaled values exceeds {MAX_KNAPSACK_TOP}"
+            f" (n={n}, eps={eps})"
+        )
     INF = None
     best_size: List = [INF] * (top + 1)
     best_set: List = [None] * (top + 1)

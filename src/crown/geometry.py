@@ -123,10 +123,16 @@ class ProfitGraph:
     def degree(self, v: str) -> int:
         return sum(1 for a, b in self._profit if v in (a, b))
 
+    def degrees(self) -> Dict[str, int]:
+        """Degree of every vertex, counted in one pass over the edges."""
+        deg = dict.fromkeys(self.vertices, 0)
+        for a, b in self._profit:
+            deg[a] += 1
+            deg[b] += 1
+        return deg
+
     def max_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(self.degree(v) for v in self.vertices)
+        return max(self.degrees().values(), default=0)
 
 
 @dataclass

@@ -13,7 +13,6 @@ The pipeline is deliberately frugal so results stay reproducible:
   remain rationals.
 """
 
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidInstanceError
 from .geometry import BoxSpec, Layout, ProfitGraph
-
-log = logging.getLogger("crown")
 
 GRID = Fraction(1, 64)
 COS_GRID = 1 << 20
@@ -211,35 +208,45 @@ def random_baseline(
 
     Boxes go down in decreasing area order; each one walks an
     Archimedean spiral from a seeded random start angle and takes the
-    first center whose box (snapped to the 1/64 grid) overlaps nothing
-    already placed.
+    first center (snapped to the 1/64 grid) at which its closed box
+    overlaps nothing already placed.
+
+    The overlap test runs on exact integers: every coordinate is counted
+    in units of 1/unit, where unit = lcm(64, 2 * den(w), 2 * den(h)) over
+    all boxes, so spiral centers and half-widths are whole units even for
+    boxes off the 1/64 grid.  Only the spiral itself is float: its
+    centers are the float expression round(r * cos * 64) / 64 that has
+    always defined this baseline's output, and an exact spiral would
+    place the boxes elsewhere.
     """
     rng = Random(seed)
     order = sorted(boxes.values(), key=lambda b: (-(b.w * b.h), b.id))
     lay = Layout()
-    placed: List[Tuple[Fraction, Fraction, Fraction, Fraction]] = []
     if not order:
         return lay
-    pitch = max(max(b.w for b in order), max(b.h for b in order)) / 4
+    unit = math.lcm(
+        64, *(2 * d for b in order for d in (b.w.denominator, b.h.denominator))
+    )
+    step = unit // 64
+    placed: List[Tuple[int, int, int, int]] = []
+    pitch = float(max(max(b.w for b in order), max(b.h for b in order)) / 4)
     for b in order:
+        hw = b.w.numerator * (unit // (2 * b.w.denominator))
+        hh = b.h.numerator * (unit // (2 * b.h.denominator))
         theta0 = rng.random() * 2 * math.pi
         k = 0
         while True:
             theta = k * math.pi / 16
-            radius = float(pitch) * theta / (2 * math.pi)
-            cx = Fraction(
-                round((radius * math.cos(theta0 + theta)) * 64), 64
-            )
-            cy = Fraction(
-                round((radius * math.sin(theta0 + theta)) * 64), 64
-            )
-            x1, y1 = cx - b.w / 2, cy - b.h / 2
-            x2, y2 = x1 + b.w, y1 + b.h
-            if all(
-                x2 <= px1 or px2 <= x1 or y2 <= py1 or py2 <= y1
-                for px1, px2, py1, py2 in placed
-            ):
-                lay.place(b, x1, y1)
+            radius = pitch * theta / (2 * math.pi)
+            cx = step * round((radius * math.cos(theta0 + theta)) * 64)
+            cy = step * round((radius * math.sin(theta0 + theta)) * 64)
+            x1, x2, y1, y2 = cx - hw, cx + hw, cy - hh, cy + hh
+            for px1, px2, py1, py2 in placed:
+                # Interiors meet; closed boxes that only touch may stay.
+                if x1 < px2 and px1 < x2 and y1 < py2 and py1 < y2:
+                    break
+            else:
+                lay.place(b, Fraction(x1, unit), Fraction(y1, unit))
                 placed.append((x1, x2, y1, y2))
                 break
             k += 1
@@ -247,16 +254,17 @@ def random_baseline(
 
 
 def load_corpus(directory) -> List[Tuple[str, str]]:
-    """(doc-id, text) for every readable non-empty .txt file, sorted."""
+    """(doc-id, text) for every readable non-empty .txt file, sorted.
+
+    Empty and non-UTF-8 files are left out without a word; the caller
+    decides how to report them."""
     docs = []
     for path in sorted(Path(directory).glob("*.txt")):
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            log.warning("skipping %s: %s", path, exc)
+        except (OSError, UnicodeDecodeError):
             continue
         if not text.strip():
-            log.warning("skipping %s: empty", path)
             continue
         docs.append((path.stem, text))
     return docs

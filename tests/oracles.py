@@ -9,6 +9,7 @@ difference constraints with integer offsets, and such systems have
 integer solutions whenever they have any).
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,9 +17,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from crown.cycles import CycleCover
 from crown.errors import TooLargeError
 from crown.gap import GapAssignment, GapInstance
-from crown.geometry import BoxSpec, ProfitGraph
+from crown.geometry import BoxSpec, Layout, ProfitGraph
 from crown.hier import EmbeddedDag
 from crown.stars import StarInstance
 from crown.triangulation import TriangulationInstance
@@ -231,6 +233,135 @@ def maximal_planar_subgraph_brute(graph: ProfitGraph) -> ProfitGraph:
         else:
             g.remove_edge(a, b)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the library's integer hot loops
+
+
+def random_baseline_fraction(
+    graph: ProfitGraph, boxes: Mapping[str, BoxSpec], seed: int
+) -> Layout:
+    """``pipeline.random_baseline`` with the overlap test on Fractions."""
+    rng = random.Random(seed)
+    order = sorted(boxes.values(), key=lambda b: (-(b.w * b.h), b.id))
+    lay = Layout()
+    placed: List[Tuple[Fraction, Fraction, Fraction, Fraction]] = []
+    if not order:
+        return lay
+    pitch = max(max(b.w for b in order), max(b.h for b in order)) / 4
+    for b in order:
+        theta0 = rng.random() * 2 * math.pi
+        k = 0
+        while True:
+            theta = k * math.pi / 16
+            radius = float(pitch) * theta / (2 * math.pi)
+            cx = Fraction(
+                round((radius * math.cos(theta0 + theta)) * 64), 64
+            )
+            cy = Fraction(
+                round((radius * math.sin(theta0 + theta)) * 64), 64
+            )
+            x1, y1 = cx - b.w / 2, cy - b.h / 2
+            x2, y2 = x1 + b.w, y1 + b.h
+            if all(
+                x2 <= px1 or px2 <= x1 or y2 <= py1 or py2 <= y1
+                for px1, px2, py1, py2 in placed
+            ):
+                lay.place(b, x1, y1)
+                placed.append((x1, x2, y1, y2))
+                break
+            k += 1
+    return lay
+
+
+def _euler_orient_tuple(nodes, adj):
+    used = set()
+    ptr = {v: 0 for v in nodes}
+    orient = {}
+    for start in nodes:
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            lst = adj[v]
+            while ptr[v] < len(lst) and lst[ptr[v]][1] in used:
+                ptr[v] += 1
+            if ptr[v] == len(lst):
+                stack.pop()
+                continue
+            u, eid = lst[ptr[v]]
+            used.add(eid)
+            orient[eid] = (v, u)
+            stack.append(u)
+    return orient
+
+
+def _perfect_matching_tuple(lefts, out_edges) -> List[int]:
+    match_of_head = {}
+
+    def augment(tail, seen) -> bool:
+        for head, eid in out_edges[tail]:
+            if head in seen:
+                continue
+            seen.add(head)
+            if head not in match_of_head or augment(match_of_head[head][0], seen):
+                match_of_head[head] = (tail, eid)
+                return True
+        return False
+
+    for tail in lefts:
+        if not augment(tail, set()):
+            raise AssertionError("regular bipartite graph must have a perfect matching")
+    return sorted(eid for _, eid in match_of_head.values())
+
+
+def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
+    """``cycles.decompose_cycle_covers`` on (copy, vertex) tuple nodes,
+    with one ``graph.degree`` scan per vertex."""
+    real_edges = [(a, b) for a, b, _ in graph.edges()]
+    if not real_edges:
+        return CycleCover(())
+    k = -(-graph.max_degree() // 2)
+
+    nodes = sorted((copy, v) for copy in (0, 1) for v in graph.vertices)
+    tails, heads, tag = [], [], []
+
+    def add(u, v, real):
+        tails.append(u)
+        heads.append(v)
+        tag.append(real)
+
+    for a, b in real_edges:
+        add((0, a), (0, b), (a, b))
+        add((1, a), (1, b), None)
+    for v in sorted(graph.vertices):
+        for _ in range(2 * k - graph.degree(v)):
+            add((0, v), (1, v), None)
+
+    adj = {x: [] for x in nodes}
+    for eid in range(len(tails)):
+        adj[tails[eid]].append((heads[eid], eid))
+        adj[heads[eid]].append((tails[eid], eid))
+    for x in nodes:
+        adj[x].sort()
+
+    covers = []
+    for _ in range(k):
+        orient = _euler_orient_tuple(nodes, adj)
+        out_edges = {x: [] for x in nodes}
+        for eid, (u, v) in orient.items():
+            out_edges[u].append((v, eid))
+        for x in nodes:
+            out_edges[x].sort()
+        factor = _perfect_matching_tuple(nodes, out_edges)
+        gone = set(factor)
+        for x in nodes:
+            adj[x] = [e for e in adj[x] if e[1] not in gone]
+        cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
+        if cover:
+            covers.append(tuple(cover))
+    assert not any(adj.values())
+    return CycleCover(tuple(covers))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_warns_about_skipped_documents(tmp_path, capsys):
+    mini = tmp_path / "corpus"
+    mini.mkdir()
+    shutil.copy(REPO / "corpus" / "tides.txt", mini / "tides.txt")
+    (mini / "blank.txt").write_text("  \n", encoding="utf-8")
+    assert main(["bench", str(mini), "--algos", "random"]) == 0
+    captured = capsys.readouterr()
+    assert "mean realized profit, k=50, 1 documents" in captured.out
+    assert captured.err == "warning: blank: unreadable or empty, skipped\n"
+
+
 def chain_dag(path):
     dag = EmbeddedDag(("c", "s"), (("c", "s"),), {"s": ("c",), "c": ("s",)})
     boxes = {v: BoxSpec(v, rat(2), rat(1)) for v in "cs"}
@@ -243,6 +254,7 @@ def test_bad_parameter_exits_2(tmp_path, argv):
         ["layout", "{tri}", "--eps", "1/0"],
         ["bench", "{corpus}", "--k", "7"],
         ["frobnicate"],
+        ["bench", "{unread}"],
     ],
 )
 def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):
@@ -257,8 +269,17 @@ def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):
     (flat / "doc.txt").write_text("alpha. beta. gamma.\n", encoding="utf-8")
     latin1 = tmp_path / "stop.txt"
     latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+    unread = tmp_path / "unread"  # one empty and one non-UTF-8 document
+    unread.mkdir()
+    (unread / "a.txt").write_text("", encoding="utf-8")
+    (unread / "b.txt").write_bytes("caf\xe9 au lait.\n".encode("latin-1"))
     paths = dict(
-        tri=tri, corpus=corpus, flat=flat, latin1=latin1, missing=tmp_path / "missing"
+        tri=tri,
+        corpus=corpus,
+        flat=flat,
+        unread=unread,
+        latin1=latin1,
+        missing=tmp_path / "missing",
     )
     try:
         code = main([a.format(**paths) for a in argv])

@@ -75,10 +75,11 @@ def _triangulation_doc() -> dict:
 BASE = {"layout": _instance_doc(), "hier": _dag_doc(), "tri": _triangulation_doc()}
 IDS = ["hub", "a", "b", "c", "s", "N", "E", "S", "W", "t0", ""]
 
-# Rationals as the documents and flags spell them, valid or not.  Tiny
-# positive eps values are left out on purpose: the knapsack table grows
-# as 1/eps.
-RATIONALS = ["0", "1", "2", "-1", "1/2", "1/3", "-1/2", "3/1", "1/0", "x", "1e3", " 1 "]
+# Rationals as the documents and flags spell them, valid or not.
+RATIONALS = [
+    "0", "1", "2", "-1", "1/2", "1/3", "-1/2", "3/1", "1/0", "x", "1e3", " 1 ",
+    "1/100000000",
+]
 
 leaf_values = st.one_of(
     st.none(),

@@ -24,7 +24,7 @@ from crown.geometry import (
     realized_profit,
 )
 
-from oracles import rand_degree_graph
+from oracles import decompose_cycle_covers_tuple, rand_clustered_graph, rand_degree_graph
 
 
 def boxes_of(dims):
@@ -158,3 +158,10 @@ def test_decompose_bound_matches_max_degree(seed):
     cover = decompose_cycle_covers(g)
     assert len(cover.covers) <= math.ceil(g.max_degree() / 2)
     _check_partition(cover, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_decompose_matches_tuple_reference(seed):
+    g = rand_clustered_graph(random.Random(seed), 16)
+    assert decompose_cycle_covers(g) == decompose_cycle_covers_tuple(g)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crown.errors import TooLargeError
-from crown.gap import GapInstance, GapItem, gap_sequential, knapsack_fptas
+from crown.gap import (
+    MAX_KNAPSACK_TOP,
+    GapInstance,
+    GapItem,
+    gap_sequential,
+    knapsack_fptas,
+)
 
 from oracles import gap_brute, gap_exact, knapsack_brute
 
@@ -26,6 +32,18 @@ def test_knapsack_skips_oversize_items():
     items = [(Fraction(9), Fraction(100)), (Fraction(1), Fraction(1))]
     chosen = knapsack_fptas(items, Fraction(2), EPS)
     assert chosen == (1,)
+
+
+def test_knapsack_table_is_guarded():
+    # Six unit items scale to 6 / eps each, so the table needs 36 / eps
+    # cells: refused above the guard, solved just below it.
+    items = [(Fraction(1), Fraction(1))] * 6
+    with pytest.raises(TooLargeError):
+        knapsack_fptas(items, 3, Fraction(1, 100_000_000))
+    per_item = MAX_KNAPSACK_TOP // 6
+    with pytest.raises(TooLargeError):
+        knapsack_fptas(items, 3, Fraction(6, per_item + 1))
+    assert len(knapsack_fptas(items, 3, Fraction(6, per_item))) == 3
 
 
 def test_gap_two_bin_example():

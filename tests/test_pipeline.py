@@ -6,7 +6,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.geometry import detect_contacts, realized_profit
+from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit
 from crown.pipeline import (
     box_dimensions,
     document_instance,
@@ -19,6 +19,8 @@ from crown.pipeline import (
     top_stems,
 )
 from crown.serialize import dumps_doc, layout_to_doc
+
+from oracles import random_baseline_fraction
 
 
 def test_stemming_merges_plural():
@@ -115,6 +117,28 @@ def test_random_baseline_single_box_at_origin():
     lay = random_baseline(g, {"solo": BoxSpec("solo", Fraction(3), Fraction(1))}, seed=5)
     x, y = lay.pos["solo"]
     assert (x + Fraction(3, 2), y + Fraction(1, 2)) == (0, 0)  # centered
+
+
+# A side as (numerator, denominator): on the corpus's 1/64 grid, finer, or
+# off it altogether.
+side = st.tuples(st.integers(1, 40), st.sampled_from((1, 3, 7, 64, 128)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(side, side), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_random_baseline_matches_fraction_reference(sides, seed):
+    boxes = {
+        f"w{i:02d}": BoxSpec(f"w{i:02d}", Fraction(*w), Fraction(*h))
+        for i, (w, h) in enumerate(sides)
+    }
+    graph = ProfitGraph(boxes)
+    lay = random_baseline(graph, boxes, seed)
+    ref = random_baseline_fraction(graph, boxes, seed)
+    assert lay.pos == ref.pos
+    assert list(lay.pos) == list(ref.pos)  # same placement order
 
 
 def test_document_instance_shapes():
