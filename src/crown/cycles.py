@@ -126,26 +126,47 @@ def _perfect_matching(out_edges) -> List[int]:
 
     ``out_edges[tail]`` lists (head, edge id) sorted; tails and heads are
     both the nodes 0..len(out_edges)-1.  Regularity guarantees the
-    matching saturates every tail.
+    matching saturates every tail.  Each path is searched depth first,
+    heads in out-list order, on an explicit stack so that long paths
+    cannot exhaust the interpreter's recursion limit.
     """
     size = len(out_edges)
     tail_of = [-1] * size  # head -> matched tail
+    head_of = [-1] * size  # tail -> matched head
     eid_of = [0] * size  # head -> matched edge id
+    seen = [-1] * size  # head -> last root whose search reached it
+    via = [0] * size  # head -> the tail it was reached from, ...
+    via_eid = [0] * size  # ... over this edge
 
-    def augment(tail, seen) -> bool:
-        for head, eid in out_edges[tail]:
-            if seen[head]:
+    for root in range(size):
+        stack = [iter(out_edges[root])]  # out-list iterators along the path
+        tail = root
+        while True:
+            for head, eid in stack[-1]:
+                if seen[head] != root:
+                    break
+            else:
+                # A dead end: back up to the tail whose head led here.
+                stack.pop()
+                if not stack:
+                    raise AssertionError("regular bipartite graph must have a perfect matching")
+                tail = via[head_of[tail]]
                 continue
-            seen[head] = 1
-            if tail_of[head] < 0 or augment(tail_of[head], seen):
-                tail_of[head] = tail
-                eid_of[head] = eid
-                return True
-        return False
-
-    for tail in range(size):
-        if not augment(tail, bytearray(size)):
-            raise AssertionError("regular bipartite graph must have a perfect matching")
+            seen[head] = root
+            via[head] = tail
+            via_eid[head] = eid
+            tail = tail_of[head]
+            if tail < 0:
+                break
+            stack.append(iter(out_edges[tail]))
+        # Augment: every tail on the path takes the head it reached.
+        while head >= 0:
+            tail = via[head]
+            prev = head_of[tail]
+            tail_of[head] = tail
+            head_of[tail] = head
+            eid_of[head] = via_eid[head]
+            head = prev
     return sorted(eid_of)
 
 

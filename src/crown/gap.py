@@ -32,9 +32,9 @@ class GapItem:
         object.__setattr__(self, "sizes", tuple(rat(s) for s in self.sizes))
         object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
         if len(self.sizes) != len(self.values):
-            raise ValueError("sizes and values must align")
+            raise ParameterError("sizes and values must align")
         if any(s < 0 for s in self.sizes) or any(v < 0 for v in self.values):
-            raise ValueError("sizes and values must be non-negative")
+            raise ParameterError("sizes and values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,7 @@ class GapInstance:
         object.__setattr__(self, "items", tuple(self.items))
         for it in self.items:
             if len(it.sizes) != len(self.capacities):
-                raise ValueError(f"item {it.id!r} has wrong arity")
-
-    @staticmethod
-    def uniform(capacities, triples) -> "GapInstance":
-        """Items given as (id, size_per_bin tuple, single value)."""
-        caps = tuple(rat(c) for c in capacities)
-        items = tuple(
-            GapItem(i, tuple(sizes), tuple([rat(v)] * len(caps)))
-            for i, sizes, v in triples
-        )
-        return GapInstance(caps, items)
+                raise ParameterError(f"item {it.id!r} has wrong arity")
 
 
 @dataclass(frozen=True)
@@ -115,15 +105,13 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
             f"knapsack table of {top} scaled values exceeds {MAX_KNAPSACK_TOP}"
             f" (n={n}, eps={eps})"
         )
-    INF = None
-    best_size: List = [INF] * (top + 1)
+    best_size: List = [None] * (top + 1)
     best_set: List = [None] * (top + 1)
     best_size[0] = 0
     best_set[0] = ()
     reach = 0
     for idx, size_i, val_i in scaled:
-        lo = 0
-        for sv in range(reach, lo - 1, -1):
+        for sv in range(reach, -1, -1):
             if best_size[sv] is None:
                 continue
             nv = sv + val_i

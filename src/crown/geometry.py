@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .errors import DuplicateIdError, MissingBoxError, OverlapError
-
-Rat = Fraction
+from .errors import DuplicateIdError, MissingBoxError, OverlapError, ParameterError
 
 
 def rat(value) -> Fraction:
@@ -48,7 +46,7 @@ class BoxSpec:
         object.__setattr__(self, "w", rat(self.w))
         object.__setattr__(self, "h", rat(self.h))
         if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box {self.id!r} needs positive dimensions")
+            raise ParameterError(f"box {self.id!r} needs positive dimensions")
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,6 @@ class Contact:
     def degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def pair(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
 
 class ProfitGraph:
     """Undirected graph with non-negative rational edge profits."""
@@ -88,13 +83,13 @@ class ProfitGraph:
     @staticmethod
     def key(a: str, b: str) -> Tuple[str, str]:
         if a == b:
-            raise ValueError(f"self-loop at {a!r}")
+            raise ParameterError(f"self-loop at {a!r}")
         return (a, b) if a < b else (b, a)
 
     def add_edge(self, a: str, b: str, profit) -> None:
         p = rat(profit)
         if p < 0:
-            raise ValueError(f"negative profit on edge {a!r}-{b!r}")
+            raise ParameterError(f"negative profit on edge {a!r}-{b!r}")
         self.vertices.add(a)
         self.vertices.add(b)
         self._profit[self.key(a, b)] = p
@@ -108,20 +103,8 @@ class ProfitGraph:
     def edges(self) -> List[Tuple[str, str, Fraction]]:
         return [(a, b, self._profit[(a, b)]) for a, b in sorted(self._profit)]
 
-    def neighbors(self, v: str) -> List[str]:
-        out = []
-        for a, b in self._profit:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
     def total_profit(self) -> Fraction:
         return sum(self._profit.values(), Fraction(0))
-
-    def degree(self, v: str) -> int:
-        return sum(1 for a, b in self._profit if v in (a, b))
 
     def degrees(self) -> Dict[str, int]:
         """Degree of every vertex, counted in one pass over the edges."""
@@ -165,13 +148,6 @@ class Layout:
             min(e[2] for e in exts),
             max(e[3] for e in exts),
         )
-
-    def translated(self, dx, dy) -> "Layout":
-        dx, dy = rat(dx), rat(dy)
-        moved = Layout(dict(self.boxes), {})
-        for i, (x, y) in self.pos.items():
-            moved.pos[i] = (x + dx, y + dy)
-        return moved
 
     def ids(self) -> List[str]:
         return sorted(self.boxes)
@@ -242,7 +218,7 @@ def detect_contacts(layout: Layout) -> List[Contact]:
 
 
 def contact_pairs(layout: Layout) -> set:
-    return {c.pair() for c in detect_contacts(layout)}
+    return {(c.a, c.b) for c in detect_contacts(layout)}
 
 
 def realized_profit(layout: Layout, graph: ProfitGraph) -> Fraction:
@@ -264,28 +240,25 @@ def realizes(layout: Layout, graph: ProfitGraph) -> bool:
     return all((a, b) in touching for a, b, _ in graph.edges())
 
 
-def pack_components(layouts: Iterable[Layout], gap=Fraction(1)) -> Layout:
-    """Set component layouts side by side, ``gap`` apart, bottoms aligned.
+def pack_components(layouts: Iterable[Layout]) -> Layout:
+    """Set component layouts side by side, 1 apart, bottoms aligned.
 
     Rigid translation only: contacts inside each component are preserved and
-    no contact between components can appear (gap is positive).
+    no contact between components can appear.
     """
-    gap = rat(gap)
-    if gap <= 0:
-        raise ValueError("gap must be positive")
     merged = Layout()
     cursor = Fraction(0)
     for component in layouts:
         if not component.pos:
             continue
         x1, x2, y1, _ = component.bbox()
-        shifted = component.translated(cursor - x1, -y1)
-        for i in shifted.pos:
+        dx = cursor - x1
+        for i, (x, y) in component.pos.items():
             if i in merged.boxes:
                 raise DuplicateIdError(i)
-            merged.boxes[i] = shifted.boxes[i]
-            merged.pos[i] = shifted.pos[i]
-        cursor += (x2 - x1) + gap
+            merged.boxes[i] = component.boxes[i]
+            merged.pos[i] = (x + dx, y - y1)
+        cursor += x2 - x1 + 1
     return merged
 
 

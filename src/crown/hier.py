@@ -36,7 +36,7 @@ class EmbeddedDag:
         known = set(self.vertices)
         for u, v in self.edges:
             if u not in known or v not in known:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
+                raise ParameterError(f"edge ({u!r}, {v!r}) references unknown vertex")
 
     def sink(self) -> str:
         outs = {u for u, _ in self.edges}

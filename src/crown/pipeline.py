@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from random import Random
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidInstanceError
 from .geometry import BoxSpec, Layout, ProfitGraph
@@ -174,17 +174,13 @@ def _round64_root(x: int, y: int, d: int) -> int:
     return (isqrt(4 * x * x * y) + d) // (2 * d)
 
 
-def box_dimensions(
-    stats: WordStats, words: Optional[Sequence[str]] = None
-) -> Dict[str, BoxSpec]:
+def box_dimensions(stats: WordStats, words: Sequence[str]) -> Dict[str, BoxSpec]:
     """Boxes sized by the square-root law.
 
     height = BASE_H * sqrt(freq / max_freq), snapped to the 1/64 grid
     and clamped to [MIN_H, BASE_H]; width = height * ASPECT * label
     length, snapped to the same grid.
     """
-    if words is None:
-        words = sorted(stats.freq)
     if not words:
         return {}
     max_freq = max(stats.freq[s] for s in words)

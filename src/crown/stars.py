@@ -43,9 +43,9 @@ class StarInstance:
         )
         for leaf in self.leaves:
             if leaf.id == self.center.id:
-                raise ValueError(f"leaf duplicates center id {leaf.id!r}")
+                raise ParameterError(f"leaf duplicates center id {leaf.id!r}")
             if leaf.id not in self.profits:
-                raise ValueError(f"leaf {leaf.id!r} has no profit entry")
+                raise ParameterError(f"leaf {leaf.id!r} has no profit entry")
 
 
 @dataclass(frozen=True)
@@ -191,94 +191,43 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
     return lay
 
 
-def _bfs_tree(edges: Sequence[Tuple[str, str]], root: str):
-    """Depth and parent maps for a tree; NotATreeError otherwise."""
-    adj: Dict[str, List[str]] = {root: []}
-    seen_edges = set()
-    for a, b in edges:
-        if a == b or ProfitGraph.key(a, b) in seen_edges:
-            raise NotATreeError(f"repeated or loop edge {a!r}-{b!r}")
-        seen_edges.add(ProfitGraph.key(a, b))
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if root not in adj:
-        raise NotATreeError(f"root {root!r} not among the vertices")
-    depth = {root: 0}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for u in sorted(adj[v]):
-            if u not in depth:
-                depth[u] = depth[v] + 1
-                queue.append(u)
-    if len(depth) != len(adj) or len(seen_edges) != len(adj) - 1:
-        raise NotATreeError("edges do not form a single tree")
-    return depth
+def partition_tree(edges: Sequence[Tuple[str, str]]) -> Tuple[StarForest, StarForest]:
+    """Split forest edges into two star forests by the parent's depth parity.
 
-
-def partition_tree(edges: Sequence[Tuple[str, str]], root: str) -> Tuple[StarForest, StarForest]:
-    """Split tree edges into two star forests by the parent's depth parity.
-
-    Edge (parent u, child v) goes to forest depth(u) mod 2; within a
-    forest all edges sharing a parent form one star, and parity keeps the
-    stars vertex-disjoint.
+    Each component is searched breadth first from its smallest vertex.
+    Edge (parent u, child v) goes to forest depth(u) mod 2; all edges
+    sharing a parent form one star, and parity keeps the stars
+    vertex-disjoint.  Stars come in (component, center) order with sorted
+    leaves.  Raises NotATreeError unless the edges form a forest (no
+    loop, repeated edge or cycle).
     """
-    depth = _bfs_tree(edges, root)
-    centers: Tuple[Dict[str, List[str]], Dict[str, List[str]]] = ({}, {})
-    for a, b in edges:
-        u, v = (a, b) if depth[a] < depth[b] else (b, a)
-        centers[depth[u] % 2].setdefault(u, []).append(v)
-    forests = tuple(
-        StarForest(
-            tuple(
-                Star(center, tuple(sorted(leaves)))
-                for center, leaves in sorted(group.items())
-            )
-        )
-        for group in centers
-    )
-    return forests
-
-
-def _forest_components(edges: Sequence[Tuple[str, str]]) -> List[List[Tuple[str, str]]]:
     adj: Dict[str, List[str]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    comps = []
-    seen = set()
-    for v0 in sorted(adj):
-        if v0 in seen:
-            continue
-        comp = {v0}
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(sorted(comp))
-    key = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            key[v] = ci
-    grouped: List[List[Tuple[str, str]]] = [[] for _ in comps]
-    for a, b in edges:
-        grouped[key[a]].append((a, b))
-    return grouped
-
-
-def _split_forest(edges: Sequence[Tuple[str, str]]) -> List[StarForest]:
-    """Partition a forest's edges into two star forests (per-component roots)."""
+    depth: Dict[str, int] = {}
     halves: Tuple[List[Star], List[Star]] = ([], [])
-    for comp_edges in _forest_components(edges):
-        root = min(min(a, b) for a, b in comp_edges)
-        f0, f1 = partition_tree(comp_edges, root)
-        halves[0].extend(f0.stars)
-        halves[1].extend(f1.stars)
-    return [StarForest(tuple(h)) for h in halves if h]
+    components = 0
+    for root in sorted(adj):
+        if root in depth:
+            continue
+        components += 1
+        depth[root] = 0
+        children: Dict[str, List[str]] = {}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            kids = sorted(v for v in adj[u] if v not in depth)
+            for v in kids:
+                depth[v] = depth[u] + 1
+            queue.extend(kids)
+            if kids:
+                children[u] = kids
+        for u in sorted(children):
+            halves[depth[u] % 2].append(Star(u, tuple(children[u])))
+    if len(edges) != len(adj) - components:
+        raise NotATreeError("edges do not form a forest")
+    return StarForest(tuple(halves[0])), StarForest(tuple(halves[1]))
 
 
 def partition_planar(graph: ProfitGraph) -> List[StarForest]:
@@ -305,7 +254,7 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     g.add_nodes_from(range(len(names)))
     g.add_edges_from((idx[a], idx[b]) for a, b in real)
     if nx.is_forest(g):
-        return _split_forest(real)
+        return [f for f in partition_tree(real) if f.stars]
     is_planar, emb = nx.check_planarity(g)
     if not is_planar:
         raise NotPlanarError("input graph is not planar")
@@ -324,8 +273,7 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     out: List[StarForest] = []
     for cls in classes:
         kept = sorted(e for e in cls if graph.has_edge(*e))
-        if kept:
-            out.extend(_split_forest(kept))
+        out.extend(f for f in partition_tree(kept) if f.stars)
     return out
 
 

@@ -42,9 +42,6 @@ class TriangulationInstance:
                 out.add((u, v) if u < v else (v, u))
         return sorted(out)
 
-    def neighbors(self, v: str) -> Tuple[str, ...]:
-        return self.rotation.get(v, ())
-
 
 @dataclass(frozen=True)
 class InstanceViolation:

@@ -316,8 +316,7 @@ def _perfect_matching_tuple(lefts, out_edges) -> List[int]:
 
 
 def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
-    """``cycles.decompose_cycle_covers`` on (copy, vertex) tuple nodes,
-    with one ``graph.degree`` scan per vertex."""
+    """``cycles.decompose_cycle_covers`` on (copy, vertex) tuple nodes."""
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:
         return CycleCover(())
@@ -334,8 +333,9 @@ def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
     for a, b in real_edges:
         add((0, a), (0, b), (a, b))
         add((1, a), (1, b), None)
+    deg = graph.degrees()
     for v in sorted(graph.vertices):
-        for _ in range(2 * k - graph.degree(v)):
+        for _ in range(2 * k - deg[v]):
             add((0, v), (1, v), None)
 
     adj = {x: [] for x in nodes}
@@ -615,7 +615,7 @@ def tri_realizable(inst: TriangulationInstance, respect_roles: bool = True) -> b
     """
     ids = sorted(inst.boxes)
     dims = _int_dims(inst.boxes)
-    nbrs = {v: set(inst.neighbors(v)) for v in ids}
+    nbrs = {v: set(inst.rotation.get(v, ())) for v in ids}
     outer = set(inst.outer)
     vn, ve, vs, vw = inst.outer
 

@@ -113,6 +113,21 @@ def test_decompose_k5():
     _check_partition(cover, g)
 
 
+def test_decompose_large_graph():
+    # A 1,200-cycle with one random chord per vertex: its augmenting paths
+    # run deeper than the interpreter's recursion limit.
+    rng = random.Random(1)
+    ids = [f"v{i:04d}" for i in range(1200)]
+    g = ring(ids)
+    for v in ids:
+        u = rng.choice(ids)
+        if u != v:
+            g.add_edge(u, v, Fraction(1))
+    cover = decompose_cycle_covers(g)
+    assert len(cover.covers) == math.ceil(g.max_degree() / 2)
+    _check_partition(cover, g)
+
+
 def unit_boxes(ids):
     return {v: BoxSpec(v, Fraction(1), Fraction(1)) for v in ids}
 

@@ -132,11 +132,6 @@ def test_pack_components_rejects_duplicate_ids():
         pack_components([singleton_layout(box("x", 1, 1)), singleton_layout(box("x", 2, 2))])
 
 
-def test_pack_components_needs_positive_gap():
-    with pytest.raises(ValueError):
-        pack_components([singleton_layout(box("x", 1, 1))], gap=Fraction(0))
-
-
 coords = st.integers(min_value=0, max_value=6)
 dims = st.integers(min_value=1, max_value=4)
 

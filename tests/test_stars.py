@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import TooLargeError
+from crown.errors import NotATreeError, TooLargeError
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit, realizes
 from crown.stars import (
     MAX_CORNER_POOL,
@@ -91,7 +91,7 @@ def test_uncapped_corner_enumeration_is_guarded():
 
 
 def test_partition_tree_path():
-    forests = partition_tree([("a", "b"), ("b", "c"), ("c", "d")], "a")
+    forests = partition_tree([("a", "b"), ("b", "c"), ("c", "d")])
     f0 = {(s.center, s.leaves) for s in forests[0].stars}
     f1 = {(s.center, s.leaves) for s in forests[1].stars}
     assert f0 == {("a", ("b",)), ("c", ("d",))}
@@ -100,11 +100,36 @@ def test_partition_tree_path():
 
 def test_partition_tree_star_all_in_first_forest():
     edges = [("hub", f"x{i}") for i in range(5)]
-    forests = partition_tree(edges, "hub")
+    forests = partition_tree(edges)
     assert len(forests[0].stars) == 1
     assert forests[0].stars[0].center == "hub"
     assert len(forests[0].stars[0].leaves) == 5
     assert forests[1].stars == ()
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("a", "b"), ("b", "c"), ("a", "c")],  # triangle
+        [("a", "b"), ("b", "c"), ("c", "b")],  # repeated edge
+        [("a", "b"), ("b", "b")],  # self-loop
+    ],
+    ids=["triangle", "repeated-edge", "self-loop"],
+)
+def test_partition_tree_rejects_non_forest(edges):
+    with pytest.raises(NotATreeError):
+        partition_tree(edges)
+
+
+def test_partition_tree_two_components_in_component_center_order():
+    # trees a-y-z-w and m-n-p plus m-q, rooted at a and m; the "z" star of the
+    # first component comes before the "m" star of the second
+    edges = [("n", "p"), ("m", "n"), ("z", "w"), ("y", "z"), ("a", "y"), ("m", "q")]
+    f0, f1 = partition_tree(edges)
+    assert [(s.center, s.leaves) for s in f0.stars] == [
+        ("a", ("y",)), ("z", ("w",)), ("m", ("n", "q")),
+    ]
+    assert [(s.center, s.leaves) for s in f1.stars] == [("y", ("z",)), ("n", ("p",))]
 
 
 def test_partition_planar_tree_gives_two_forests():
@@ -167,7 +192,7 @@ def test_max_crown_stars_single_edge_full():
 def test_solve_star_forest_places_every_vertex():
     edges = [("a", "b"), ("b", "c"), ("c", "d")]
     g = ProfitGraph("abcde", {e: rat(1) for e in edges})
-    forests = partition_tree(edges, "a")
+    forests = partition_tree(edges)
     boxes = unit_boxes("abcde")
     lay = solve_star_forest(forests[0], boxes, g, EPS)
     assert set(lay.pos) == set("abcde")  # singletons packed too
