@@ -2,4 +2,4 @@
 
 # Callers import from the submodules; importing them all here keeps what
 # ``import crown`` loads (and so its start-up cost) fixed.
-from . import cycles, errors, extremal, gap, geometry, hier, pipeline, serialize, stars, svg, triangulation
+from . import cycles, errors, gap, geometry, hier, pipeline, serialize, stars, svg, triangulation

@@ -18,14 +18,6 @@ class OverlapError(CrownError):
         super().__init__(f"boxes {a!r} and {b!r} overlap")
 
 
-class MissingBoxError(CrownError):
-    """A graph vertex has no placed box."""
-
-    def __init__(self, box_id):
-        self.box_id = box_id
-        super().__init__(f"no box placed for vertex {box_id!r}")
-
-
 class DuplicateIdError(CrownError):
     """The same box id occurs twice."""
 
@@ -52,10 +44,6 @@ class NotPlanarError(CrownError):
 
 class CycleTooShortError(CrownError):
     """Cycle layout needs at least three boxes."""
-
-
-class TooFewBoxesError(CrownError):
-    """Extremal placement needs at least two boxes."""
 
 
 class InvalidInstanceError(CrownError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .errors import DuplicateIdError, MissingBoxError, OverlapError, ParameterError
+from .errors import DuplicateIdError, OverlapError, ParameterError
 
 
 def rat(value) -> Fraction:
@@ -229,15 +229,6 @@ def realized_profit(layout: Layout, graph: ProfitGraph) -> Fraction:
         if (a, b) in touching:
             total += p
     return total
-
-
-def realizes(layout: Layout, graph: ProfitGraph) -> bool:
-    """True iff every graph edge is a contact.  Every vertex must be placed."""
-    for v in graph.vertices:
-        if v not in layout.pos:
-            raise MissingBoxError(v)
-    touching = contact_pairs(layout)
-    return all((a, b) in touching for a, b, _ in graph.edges())
 
 
 def pack_components(layouts: Iterable[Layout]) -> Layout:

@@ -42,7 +42,7 @@ class EmbeddedDag:
         outs = {u for u, _ in self.edges}
         sinks = [v for v in self.vertices if v not in outs]
         if len(sinks) != 1:
-            raise ValueError(f"expected exactly one sink, found {sinks}")
+            raise ParameterError(f"expected exactly one sink, found {sinks}")
         return sinks[0]
 
     def predecessors(self, v: str) -> List[str]:
@@ -238,7 +238,7 @@ def solve_x(
         if last is None:
             missing = sorted(v for v, d in dist.items() if d is None)
             if missing:
-                raise ValueError(f"vertices {missing} unconstrained from anchor {anchor!r}")
+                raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
             return dict(dist)
     # A relaxation in the n-th pass means a negative cycle.  Any cycle of
     # predecessor pointers has negative weight, so keep relaxing until the
@@ -280,14 +280,15 @@ def solve_hier(dag: EmbeddedDag, boxes: Mapping[str, BoxSpec], delta=None) -> La
     "solve_x" and the sub-step's witness when no such layout exists, and
     ParameterError when delta is not positive.
     """
-    if delta is None:
-        delta = default_delta(boxes)
-    delta = rat(delta)
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    if delta is not None:
+        delta = rat(delta)
+        if delta <= 0:
+            raise ParameterError(f"delta must be positive, got {delta}")
     violation = validate_embedding(dag)
     if violation is not None:
         raise HierInfeasibleError("embedding", violation)
+    if delta is None:  # a valid embedding has a sink, so boxes is not empty
+        delta = default_delta(boxes)
 
     try:
         y = assign_y(dag, {v: boxes[v].h for v in dag.vertices})

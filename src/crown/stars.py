@@ -6,6 +6,9 @@ points, the rest compete for the four sides in a GAP instance whose bins
 are the sides (top/bottom capacity = center width, left/right capacity =
 center height).  Trees split into 2 star forests, planar graphs into at
 most 6, and the best per-forest layout is kept.
+
+networkx is imported inside the two functions that call it, so importing
+this module does not load it.
 """
 
 import itertools
@@ -13,9 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
-from networkx.algorithms.planar_drawing import get_canonical_ordering, triangulate_embedding
 
 from .errors import NotATreeError, NotPlanarError, ParameterError, TooLargeError
 from .gap import GapInstance, GapItem, check_eps, gap_sequential
@@ -242,6 +242,9 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     one edge toward a later one, so every class is a forest; restricting
     to the real edge set keeps that.  Each class then splits in two.
     """
+    import networkx as nx
+    from networkx.algorithms.planar_drawing import get_canonical_ordering, triangulate_embedding
+
     real = [(a, b) for a, b, _ in graph.edges()]
     if not real:
         return []
@@ -370,6 +373,8 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     components (a bridge).  The result is the same as testing the whole
     running graph after every edge.
     """
+    import networkx as nx
+
     ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
     kept = ProfitGraph(graph.vertices)
     bedges: Dict[int, List[Tuple[str, str]]] = {}  # block -> its edges

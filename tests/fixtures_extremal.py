@@ -1,5 +1,9 @@
 """Extremal contact placements and reduction-style instance generators.
 
+These are test fixtures: the boundary cases of the paper's bounds and
+hardness proofs, exercised by tests/test_extremal.py and acceptance
+criteria 7 and 8.  No crown command runs them.
+
 place_extremal arranges n boxes of arbitrary positive dimensions so the
 layout has exactly 2n-2 contacts, the maximum possible.  Four boxes meet
 at a corner point; every later box is seated along the line through that
@@ -11,22 +15,31 @@ which work for any dimensions.
 
 The generators build the star and tree instances whose exact
 realizability encodes Partition and 3-Partition; a witness layout is
-attached when a valid certificate is supplied.
+attached when a valid certificate is supplied, and realizes checks it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DuplicateIdError, InvalidInstanceError, TooFewBoxesError
-from .geometry import (
+from crown.errors import DuplicateIdError, InvalidInstanceError
+from crown.geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
+    contact_pairs,
     detect_contacts,
     rat,
-    realizes,
 )
+
+
+def realizes(layout: Layout, graph: ProfitGraph) -> bool:
+    """True iff every graph edge is a contact.  Every vertex must be placed."""
+    for v in graph.vertices:
+        if v not in layout.pos:
+            raise ValueError(f"no box placed for vertex {v!r}")
+    touching = contact_pairs(layout)
+    return all((a, b) in touching for a, b, _ in graph.edges())
 
 
 def _check_ids(boxes: Sequence[BoxSpec]) -> None:
@@ -46,7 +59,7 @@ def place_extremal(boxes: Sequence[BoxSpec]) -> Layout:
     _check_ids(boxes)
     n = len(boxes)
     if n <= 1:
-        raise TooFewBoxesError(f"need at least 2 boxes, got {n}")
+        raise ValueError(f"need at least 2 boxes, got {n}")
     lay = Layout()
     if n == 2:
         a, b = boxes

@@ -21,13 +21,7 @@ from pathlib import Path
 
 from crown.cycles import layout_cycle, max_crown_cycles
 from crown.errors import HierInfeasibleError, TriangulationInfeasibleError
-from crown.extremal import (
-    gen_3partition_tree_instance,
-    gen_partition_star_instance,
-    gen_power_squares,
-    place_extremal,
-)
-from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit, realizes
+from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit
 from crown.hier import EmbeddedDag, solve_hier
 from crown.pipeline import document_instance, load_corpus, random_baseline
 from crown.serialize import dag_to_doc, dumps_doc, instance_to_doc, triangulation_to_doc
@@ -38,6 +32,13 @@ from crown.triangulation import (
     validate_instance,
 )
 
+from fixtures_extremal import (
+    gen_3partition_tree_instance,
+    gen_partition_star_instance,
+    gen_power_squares,
+    place_extremal,
+    realizes,
+)
 from oracles import (
     hier_feasible,
     rand_degree_graph,

@@ -14,21 +14,23 @@ import crown
 from crown.errors import CrownError
 from crown.gap import GapInstance, GapItem
 from crown.geometry import BoxSpec, ProfitGraph
-from crown.hier import EmbeddedDag
+from crown.hier import EmbeddedDag, assign_y, solve_x, sweep_order
 from crown.stars import StarInstance
 
 SUBMODULES = [
-    "cycles", "errors", "extremal", "gap", "geometry", "hier",
+    "cycles", "errors", "gap", "geometry", "hier",
     "pipeline", "serialize", "stars", "svg", "triangulation",
 ]
 
 
 def test_import_loads_the_submodules_and_exposes_only_them():
     # A fresh interpreter, so modules other tests imported do not count.
+    # networkx is imported only where a star forest is built.
     code = (
         "import json, sys, crown; print(json.dumps(["
         "sorted(m for m in sys.modules if m.startswith('crown.')),"
-        "sorted(n for n in vars(crown) if not n.startswith('_'))]))"
+        "sorted(n for n in vars(crown) if not n.startswith('_')),"
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'networkx')]))"
     )
     src = str(Path(crown.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -38,13 +40,17 @@ def test_import_loads_the_submodules_and_exposes_only_them():
         text=True,
         check=True,
     )
-    loaded, public = json.loads(proc.stdout)
+    loaded, public, networkx = json.loads(proc.stdout)
     assert loaded == [f"crown.{m}" for m in SUBMODULES]
     assert public == SUBMODULES
+    assert networkx == []
 
 
 def _unit(bid):
     return BoxSpec(bid, 1, 1)
+
+
+SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
 
 
 @pytest.mark.parametrize(
@@ -63,13 +69,18 @@ def _unit(bid):
         lambda: StarInstance(_unit("c"), (_unit("c"),), {"c": 1}),
         lambda: StarInstance(_unit("c"), (_unit("l"),), {}),
         lambda: EmbeddedDag(("a",), (("a", "b"),), {}),
+        lambda: SINKLESS.sink(),
+        lambda: assign_y(SINKLESS, {"a": 1, "b": 1}),
+        lambda: sweep_order(SINKLESS, {"a": (0, 1), "b": (0, 1)}),
+        lambda: solve_x({"a": 1, "b": 1}, SINKLESS.edges, (), Fraction(1, 2), "a"),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "key-self-loop",
         "edge-self-loop", "edge-negative-profit", "graph-negative-profit",
         "item-misaligned", "item-negative-size", "item-negative-value",
         "gap-wrong-arity", "star-leaf-is-center", "star-leaf-without-profit",
-        "dag-unknown-vertex",
+        "dag-unknown-vertex", "dag-sink", "dag-assign-y", "dag-sweep-order",
+        "dag-solve-x-unanchored",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):

@@ -137,12 +137,30 @@ def test_hier_feasible_chain(tmp_path, capsys):
     assert parse_frac(doc["realized_profit"], "r") == 1
 
 
-def test_tri_infeasible_exits_3(tmp_path, capsys):
+def test_hier_empty_dag_exits_3(tmp_path):
+    # the default delta is derived from the boxes, of which there are none
+    path = tmp_path / "dag.json"
+    path.write_text('{"boxes": [], "edges": [], "rotation": {}}', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crown.cli", "hier", str(path)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["stage"] == "embedding"
+
+
+def wheel_instance(path, north_width):
+    """A framed wheel: one tile t0 inside N/E/S/W; feasible iff N is 4 wide."""
     inst = TriangulationInstance(
         {
             v: BoxSpec(v, rat(w), rat(h))
             for v, (w, h) in {
-                "N": (1, 1), "E": (1, 4), "S": (4, 1), "W": (1, 4), "t0": (2, 2)
+                "N": (north_width, 1), "E": (1, 4), "S": (4, 1), "W": (1, 4), "t0": (2, 2)
             }.items()
         },
         {
@@ -154,8 +172,12 @@ def test_tri_infeasible_exits_3(tmp_path, capsys):
         },
         ("N", "E", "S", "W"),
     )
-    path = tmp_path / "tri.json"
     path.write_text(dumps_doc(triangulation_to_doc(inst)), encoding="utf-8")
+
+
+def test_tri_infeasible_exits_3(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    wheel_instance(path, 1)
     assert main(["tri", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "outer-too-small"
@@ -212,6 +234,40 @@ def chain_dag(path):
     dag = EmbeddedDag(("c", "s"), (("c", "s"),), {"s": ("c",), "c": ("s",)})
     boxes = {v: BoxSpec(v, rat(2), rat(1)) for v in "cs"}
     path.write_text(dumps_doc(dag_to_doc(dag, boxes)), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        (["hier", "{dag}"], False),
+        (["tri", "{wheel}"], False),
+        (["layout", "{tri}", "--algo", "cycle-cover"], False),
+        (["layout", "{tri}", "--algo", "random"], False),
+        (["layout", "{tri}", "--algo", "star-forest"], True),
+    ],
+    ids=["hier", "tri", "cycle-cover", "random", "star-forest"],
+)
+def test_networkx_loads_only_for_star_forests(tmp_path, argv, loads):
+    tri, dag, wheel = tmp_path / "triangle.json", tmp_path / "dag.json", tmp_path / "tri.json"
+    triangle_instance(tri)
+    chain_dag(dag)
+    wheel_instance(wheel, 4)
+    argv = [a.format(tri=tri, dag=dag, wheel=wheel) for a in argv]
+    out = tmp_path / "out.json"
+    code = (
+        "import sys\n"
+        "from crown.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, 'networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "-o", str(out)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == f"0 {loads}\n", proc.stderr
+    assert out.read_text(encoding="utf-8").startswith("{")
 
 
 @pytest.mark.parametrize(

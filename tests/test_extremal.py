@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import InvalidInstanceError, TooFewBoxesError
-from crown.extremal import (
+from crown.errors import InvalidInstanceError
+from crown.geometry import BoxSpec, Layout, ProfitGraph, detect_contacts, rat
+
+from fixtures_extremal import (
     gen_3partition_tree_instance,
     gen_partition_star_instance,
     gen_power_squares,
     place_extremal,
+    realizes,
 )
-from crown.geometry import BoxSpec, detect_contacts, rat, realizes
 
 
 def rand_boxes(rng, n):
@@ -75,8 +77,31 @@ def test_extremal_contact_count_formula(seed, n):
 
 
 def test_extremal_rejects_single_box():
-    with pytest.raises(TooFewBoxesError):
+    with pytest.raises(ValueError):
         place_extremal(rand_boxes(random.Random(0), 1))
+
+
+def lay(*rows):
+    out = Layout()
+    for i, w, h, x, y in rows:
+        out.place(BoxSpec(i, rat(w), rat(h)), rat(x), rat(y))
+    return out
+
+
+def test_realizes_requires_every_vertex_placed():
+    g = ProfitGraph(["a", "b", "c"], {("a", "b"): Fraction(1)})
+    partial = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 1, 0))
+    with pytest.raises(ValueError):
+        realizes(partial, g)
+
+
+def test_realizes_ignores_extra_contacts():
+    g = ProfitGraph(["a", "b", "c"], {("a", "b"): Fraction(1)})
+    full = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 1, 0), ("c", 1, 1, 2, 0))
+    # b-c touch without an edge; a-b is the only required contact
+    assert realizes(full, g)
+    apart = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 5, 5), ("c", 1, 1, 2, 0))
+    assert not realizes(apart, g)
 
 
 def test_partition_gadget_with_witness():

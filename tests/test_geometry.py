@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import DuplicateIdError, MissingBoxError, OverlapError
+from crown.errors import DuplicateIdError, OverlapError
 from crown.geometry import (
     BoxSpec,
     Layout,
@@ -21,7 +21,6 @@ from crown.geometry import (
     pack_components,
     rat,
     realized_profit,
-    realizes,
     singleton_layout,
 )
 
@@ -94,20 +93,6 @@ def test_contact_pair_normalization():
     assert (contacts[0].a, contacts[0].b) == ("a", "z")
 
 
-def test_realizes_requires_every_vertex_placed():
-    g = ProfitGraph(["a", "b", "c"], {("a", "b"): Fraction(1)})
-    partial = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 1, 0))
-    with pytest.raises(MissingBoxError):
-        realizes(partial, g)
-
-
-def test_realizes_ignores_extra_contacts():
-    g = ProfitGraph(["a", "b", "c"], {("a", "b"): Fraction(1)})
-    full = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 1, 0), ("c", 1, 1, 2, 0))
-    # b-c touch without an edge; a-b is the only required contact
-    assert realizes(full, g)
-
-
 def test_realized_profit_counts_only_contact_edges():
     g = ProfitGraph(
         ["a", "b", "c"],
@@ -115,7 +100,6 @@ def test_realized_profit_counts_only_contact_edges():
     )
     l = lay(("a", 1, 1, 0, 0), ("b", 1, 1, 1, 0), ("c", 1, 1, 5, 5))
     assert realized_profit(l, g) == 2
-    assert not realizes(l, g)
 
 
 def test_pack_components_keeps_parts_apart():

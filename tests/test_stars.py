@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import NotATreeError, TooLargeError
-from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit, realizes
+from crown.errors import NotATreeError, NotPlanarError, TooLargeError
+from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.stars import (
     MAX_CORNER_POOL,
     StarInstance,
@@ -168,6 +168,22 @@ def test_partition_planar_empty():
 
 def unit_boxes(ids):
     return {v: BoxSpec(v, Fraction(1), Fraction(1)) for v in ids}
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        {(u, v): rat(1) for i, u in enumerate("abcde") for v in "abcde"[i + 1 :]},
+        {(u, v): rat(1) for u in "abc" for v in "xyz"},
+    ],
+    ids=["k5", "k33"],
+)
+def test_non_planar_graph_raises_not_planar(edges):
+    g = ProfitGraph(edges=edges)
+    with pytest.raises(NotPlanarError):
+        partition_planar(g)
+    with pytest.raises(NotPlanarError):
+        max_crown_stars(g, unit_boxes(g.vertices), EPS)
 
 
 def test_max_crown_stars_path():
