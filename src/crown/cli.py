@@ -2,14 +2,16 @@
 
 Four subcommands: ``layout`` (profit-graph instances), ``hier``
 (embedded DAGs), ``tri`` (plane triangulations) and ``bench`` (corpus
-experiment).  Errors are reported as one-line JSON on stderr; exit code
-2 means a malformed input, command line or parameter, or a file that
-cannot be read or written; 3 means the instance was valid but has no
-layout.
+experiment).  The commands raise; ``main`` alone turns an error into
+one JSON line on stderr and an exit code: 2 means a malformed input,
+command line or parameter, or a file that cannot be read or written; 3
+means the instance was valid but has no layout, and the report carries
+the failing ``stage`` and its ``witness``.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -53,6 +55,8 @@ ALGORITHMS = ("star-forest", "cycle-cover", "random")
 
 
 def _jsonable(value):
+    if dataclasses.is_dataclass(value):
+        return _jsonable(dataclasses.asdict(value))
     if isinstance(value, Fraction):
         return frac_str(value)
     if isinstance(value, (list, tuple)):
@@ -115,10 +119,7 @@ def _lay_out(algo: str, graph, boxes, args):
 
 
 def cmd_layout(args) -> int:
-    try:
-        inst = parse_instance(_read_doc(args.instance))
-    except FormatError as exc:
-        return _fail(EXIT_MALFORMED, "format", str(exc))
+    inst = parse_instance(_read_doc(args.instance))
     lay = _lay_out(args.algo, inst.graph, inst.box_map(), args)
     _emit(
         layout_to_doc(lay, inst.graph), lay, inst.labels, args.out, args.svg
@@ -134,34 +135,16 @@ def _unit_graph(vertices, edges) -> ProfitGraph:
 
 
 def cmd_hier(args) -> int:
-    try:
-        dag, boxes = parse_dag(_read_doc(args.dag))
-    except FormatError as exc:
-        return _fail(EXIT_MALFORMED, "format", str(exc))
-    try:
-        lay = solve_hier(dag, boxes, args.delta)
-    except HierInfeasibleError as exc:
-        return _fail(
-            EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, exc.witness
-        )
+    dag, boxes = parse_dag(_read_doc(args.dag))
+    lay = solve_hier(dag, boxes, args.delta)
     graph = _unit_graph(dag.vertices, dag.edges)
     _emit(layout_to_doc(lay, graph), lay, None, args.out, args.svg)
     return 0
 
 
 def cmd_tri(args) -> int:
-    try:
-        inst = parse_triangulation(_read_doc(args.instance))
-    except FormatError as exc:
-        return _fail(EXIT_MALFORMED, "format", str(exc))
-    try:
-        lay = realize_triangulation(inst)
-    except InvalidInstanceError as exc:
-        return _fail(EXIT_MALFORMED, "invalid-instance", str(exc))
-    except TriangulationInfeasibleError as exc:
-        return _fail(
-            EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, exc.witness
-        )
+    inst = parse_triangulation(_read_doc(args.instance))
+    lay = realize_triangulation(inst)
     graph = _unit_graph(inst.boxes, inst.edges())
     _emit(layout_to_doc(lay, graph), lay, None, args.out, args.svg)
     return 0
@@ -329,6 +312,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (HierInfeasibleError, TriangulationInfeasibleError) as exc:
+        return _fail(
+            EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, exc.witness
+        )
+    except FormatError as exc:
+        return _fail(EXIT_MALFORMED, "format", str(exc))
+    except InvalidInstanceError as exc:
+        return _fail(EXIT_MALFORMED, "invalid-instance", str(exc))
     except CrownError as exc:
         return _fail(EXIT_MALFORMED, type(exc).__name__, str(exc))
     except (OSError, UnicodeDecodeError) as exc:

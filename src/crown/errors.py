@@ -47,40 +47,23 @@ class CycleTooShortError(CrownError):
 
 
 class InvalidInstanceError(CrownError):
-    """Generator preconditions violated."""
+    """An instance violates its structural preconditions (a triangulation
+    that is not a framed plane triangulation, a word cloud with k < 2)."""
 
 
 class FormatError(CrownError):
     """An input document does not match its JSON schema."""
 
 
-class YConflictError(CrownError):
-    """A box receives two distinct y-positions during propagation."""
-
-    def __init__(self, box_id, value_a, value_b):
-        self.box_id = box_id
-        self.values = (value_a, value_b)
-        super().__init__(
-            f"box {box_id!r} assigned conflicting tops {value_a} and {value_b}"
-        )
-
-
-class XInfeasibleError(CrownError):
-    """The horizontal difference-constraint system has no solution.
-
-    ``witness`` lists the constraints of one negative cycle.
-    """
-
-    def __init__(self, witness):
-        self.witness = list(witness)
-        super().__init__(
-            "no horizontal placement satisfies the contact constraints; "
-            f"negative cycle of {len(self.witness)} constraints"
-        )
-
-
 class HierInfeasibleError(CrownError):
-    """Hierarchical solve failed; ``stage`` says where, ``witness`` why."""
+    """Hierarchical solve failed; ``stage`` says where, ``witness`` why.
+
+    Witnesses by stage: ``embedding`` an ``EmbeddingViolation`` (kind,
+    vertex, detail); ``assign_y`` ``[box, top_a, top_b]``, a box forced
+    to two tops; ``solve_x`` the constraint descriptors around one
+    negative cycle, each ``("edge", child, parent)`` or
+    ``("order", left, right)``.
+    """
 
     def __init__(self, stage, witness):
         self.stage = stage
@@ -89,10 +72,15 @@ class HierInfeasibleError(CrownError):
 
 
 class TriangulationInfeasibleError(CrownError):
-    """Staircase realization failed; ``stage`` is one of
-    ``stuck`` | ``not-rectangle`` | ``outer-too-small``."""
+    """Staircase realization failed; ``stage`` says where, ``witness`` why.
 
-    def __init__(self, stage, witness=None):
+    Witnesses by stage: ``stuck`` the sorted ids of the boxes never
+    placed; ``not-rectangle`` the ``(x, y)`` corners of the placed
+    region's concavities; ``outer-too-small`` the frame boxes too short
+    to wrap the inner rectangle.
+    """
+
+    def __init__(self, stage, witness):
         self.stage = stage
         self.witness = witness
         super().__init__(f"triangulation not realizable: {stage}")

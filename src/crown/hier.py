@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import HierInfeasibleError, ParameterError, XInfeasibleError, YConflictError
+from .errors import HierInfeasibleError, ParameterError
 from .geometry import BoxSpec, Layout, rat
 
 
@@ -138,7 +138,11 @@ def validate_embedding(dag: EmbeddedDag) -> Optional[EmbeddingViolation]:
 
 
 def assign_y(dag: EmbeddedDag, heights: Mapping[str, Fraction]) -> Dict[str, Tuple[Fraction, Fraction]]:
-    """Forced (top, bottom) per box: sink top 0, child top = parent bottom."""
+    """Forced (top, bottom) per box: sink top 0, child top = parent bottom.
+
+    Raises HierInfeasibleError("assign_y", [box, top_a, top_b]) when two
+    parents force different tops on one box.
+    """
     sink = dag.sink()
     ins: Dict[str, List[str]] = {v: [] for v in dag.vertices}
     for u, v in dag.edges:
@@ -151,7 +155,7 @@ def assign_y(dag: EmbeddedDag, heights: Mapping[str, Fraction]) -> Dict[str, Tup
         for u in sorted(ins[v]):
             if u in top:
                 if top[u] != bottom:
-                    raise YConflictError(u, top[u], bottom)
+                    raise HierInfeasibleError("assign_y", [u, top[u], bottom])
             else:
                 top[u] = bottom
                 queue.append(u)
@@ -207,8 +211,8 @@ def solve_x(
     Everything is a difference constraint after substituting r = l + w:
     an edge (i, j) needs l_j - l_i <= w_i - delta and l_i - l_j <=
     w_j - delta; an order pair (a, b) needs l_a - l_b <= -w_a.  Solved by
-    shortest paths from the anchor (l_anchor = 0); a negative cycle is
-    returned as the list of constraints around it.
+    shortest paths from the anchor (l_anchor = 0).  A negative cycle
+    raises HierInfeasibleError("solve_x", [descriptors around it]).
     """
     delta = rat(delta)
     cons: List[Tuple[str, str, Fraction, Tuple]] = []
@@ -246,9 +250,9 @@ def solve_x(
     for _ in range(4 * n + 4):
         cyc = _pred_cycle(last, pred, cons, n)
         if cyc is not None:
-            raise XInfeasibleError(cyc)
+            raise HierInfeasibleError("solve_x", cyc)
         last = relax_pass() or last
-    raise XInfeasibleError([cons[pred[last]][3]])  # pragma: no cover
+    raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])  # pragma: no cover
 
 
 def _pred_cycle(v: str, pred: Dict[str, int], cons, n: int):
@@ -290,18 +294,11 @@ def solve_hier(dag: EmbeddedDag, boxes: Mapping[str, BoxSpec], delta=None) -> La
     if delta is None:  # a valid embedding has a sink, so boxes is not empty
         delta = default_delta(boxes)
 
-    try:
-        y = assign_y(dag, {v: boxes[v].h for v in dag.vertices})
-    except YConflictError as err:
-        raise HierInfeasibleError("assign_y", err) from err
-
+    y = assign_y(dag, {v: boxes[v].h for v in dag.vertices})
     order = sweep_order(dag, y)
-    try:
-        left = solve_x(
-            {v: boxes[v].w for v in dag.vertices}, dag.edges, order, delta, dag.sink()
-        )
-    except XInfeasibleError as err:
-        raise HierInfeasibleError("solve_x", err) from err
+    left = solve_x(
+        {v: boxes[v].w for v in dag.vertices}, dag.edges, order, delta, dag.sink()
+    )
 
     lay = Layout()
     for v in dag.vertices:

@@ -61,6 +61,35 @@ def _box_spec(entry, where: str) -> BoxSpec:
         raise FormatError(f"{where}: {exc}")
 
 
+def _boxes(doc, where: str) -> Dict[str, BoxSpec]:
+    """The ``boxes`` list as an id -> spec dict, in document order."""
+    boxes: Dict[str, BoxSpec] = {}
+    for i, entry in enumerate(_require(doc, "boxes", list, where)):
+        spec = _box_spec(entry, f"{where}.boxes[{i}]")
+        if spec.id in boxes:
+            raise FormatError(f"{where}.boxes[{i}]: duplicate id {spec.id!r}")
+        boxes[spec.id] = spec
+    return boxes
+
+
+def _rotation(doc, boxes: Mapping[str, BoxSpec], where: str) -> Dict[str, Tuple[str, ...]]:
+    """The ``rotation`` object: each known vertex to a list of known ids."""
+    rotation: Dict[str, Tuple[str, ...]] = {}
+    for v, row in _require(doc, "rotation", dict, where).items():
+        if v not in boxes:
+            raise FormatError(f"{where}.rotation: unknown vertex {v!r}")
+        if not isinstance(row, list) or not all(
+            isinstance(u, str) and u in boxes for u in row
+        ):
+            raise FormatError(f"{where}.rotation[{v!r}]: bad neighbor list")
+        rotation[v] = tuple(row)
+    return rotation
+
+
+def _box_doc(box: BoxSpec) -> dict:
+    return {"id": box.id, "w": frac_str(box.w), "h": frac_str(box.h)}
+
+
 # ---------------------------------------------------------------------------
 # layouts
 
@@ -69,17 +98,8 @@ def layout_to_doc(lay: Layout, graph: ProfitGraph) -> dict:
     """Canonical layout document: boxes sorted by id, contacts recomputed."""
     boxes = []
     for bid in lay.ids():
-        b = lay.boxes[bid]
         x, y = lay.pos[bid]
-        boxes.append(
-            {
-                "id": bid,
-                "w": frac_str(b.w),
-                "h": frac_str(b.h),
-                "x": frac_str(x),
-                "y": frac_str(y),
-            }
-        )
+        boxes.append({**_box_doc(lay.boxes[bid]), "x": frac_str(x), "y": frac_str(y)})
     contacts = [
         {
             "a": c.a,
@@ -135,9 +155,7 @@ def instance_to_doc(
     witness: Optional[Layout] = None,
 ) -> dict:
     doc = {
-        "boxes": [
-            {"id": b.id, "w": frac_str(b.w), "h": frac_str(b.h)} for b in boxes
-        ],
+        "boxes": [_box_doc(b) for b in boxes],
         "profits": [
             {"a": a, "b": b, "p": frac_str(p)} for a, b, p in graph.edges()
         ],
@@ -150,23 +168,15 @@ def instance_to_doc(
 
 
 def parse_instance(doc) -> InstanceDoc:
-    entries = _require(doc, "boxes", list, "instance")
-    boxes: List[BoxSpec] = []
-    ids = set()
-    for i, entry in enumerate(entries):
-        spec = _box_spec(entry, f"instance.boxes[{i}]")
-        if spec.id in ids:
-            raise FormatError(f"instance.boxes[{i}]: duplicate id {spec.id!r}")
-        ids.add(spec.id)
-        boxes.append(spec)
-    graph = ProfitGraph(vertices=ids)
+    boxes = _boxes(doc, "instance")
+    graph = ProfitGraph(vertices=boxes)
     seen_pairs = set()
     for i, entry in enumerate(_require(doc, "profits", list, "instance")):
         where = f"instance.profits[{i}]"
         a = _require(entry, "a", str, where)
         b = _require(entry, "b", str, where)
         p = parse_frac(_require(entry, "p", None, where), f"{where}.p")
-        if a not in ids or b not in ids:
+        if a not in boxes or b not in boxes:
             raise FormatError(f"{where}: unknown box id")
         if a == b:
             raise FormatError(f"{where}: self-loop on {a!r}")
@@ -181,7 +191,7 @@ def parse_instance(doc) -> InstanceDoc:
     if "labels" in doc:
         raw = _require(doc, "labels", dict, "instance")
         for bid, label in raw.items():
-            if bid not in ids:
+            if bid not in boxes:
                 raise FormatError(f"instance.labels: unknown box id {bid!r}")
             if not isinstance(label, str):
                 raise FormatError(f"instance.labels[{bid!r}]: not a string")
@@ -189,9 +199,9 @@ def parse_instance(doc) -> InstanceDoc:
     witness = None
     if "witness" in doc:
         witness = parse_layout(_require(doc, "witness", dict, "instance"))
-        if set(witness.boxes) != ids:
+        if witness.boxes.keys() != boxes.keys():
             raise FormatError("instance.witness: box ids differ from instance")
-    return InstanceDoc(tuple(boxes), graph, labels, witness)
+    return InstanceDoc(tuple(boxes.values()), graph, labels, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +210,14 @@ def parse_instance(doc) -> InstanceDoc:
 
 def dag_to_doc(dag: EmbeddedDag, boxes: Mapping[str, BoxSpec]) -> dict:
     return {
-        "boxes": [
-            {"id": v, "w": frac_str(boxes[v].w), "h": frac_str(boxes[v].h)}
-            for v in dag.vertices
-        ],
+        "boxes": [_box_doc(boxes[v]) for v in dag.vertices],
         "edges": [[u, v] for u, v in dag.edges],
         "rotation": {v: list(dag.rotation.get(v, ())) for v in dag.vertices},
     }
 
 
 def parse_dag(doc) -> Tuple[EmbeddedDag, Dict[str, BoxSpec]]:
-    entries = _require(doc, "boxes", list, "dag")
-    boxes: Dict[str, BoxSpec] = {}
-    order: List[str] = []
-    for i, entry in enumerate(entries):
-        spec = _box_spec(entry, f"dag.boxes[{i}]")
-        if spec.id in boxes:
-            raise FormatError(f"dag.boxes[{i}]: duplicate id {spec.id!r}")
-        boxes[spec.id] = spec
-        order.append(spec.id)
+    boxes = _boxes(doc, "dag")
     edges: List[Tuple[str, str]] = []
     for i, entry in enumerate(_require(doc, "edges", list, "dag")):
         where = f"dag.edges[{i}]"
@@ -232,16 +231,8 @@ def parse_dag(doc) -> Tuple[EmbeddedDag, Dict[str, BoxSpec]]:
         if u not in boxes or v not in boxes:
             raise FormatError(f"{where}: unknown vertex")
         edges.append((u, v))
-    rotation: Dict[str, Tuple[str, ...]] = {}
-    for v, row in _require(doc, "rotation", dict, "dag").items():
-        if v not in boxes:
-            raise FormatError(f"dag.rotation: unknown vertex {v!r}")
-        if not isinstance(row, list) or not all(
-            isinstance(u, str) and u in boxes for u in row
-        ):
-            raise FormatError(f"dag.rotation[{v!r}]: bad neighbor list")
-        rotation[v] = tuple(row)
-    return EmbeddedDag(tuple(order), tuple(edges), rotation), boxes
+    rotation = _rotation(doc, boxes, "dag")
+    return EmbeddedDag(tuple(boxes), tuple(edges), rotation), boxes
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +242,7 @@ def parse_dag(doc) -> Tuple[EmbeddedDag, Dict[str, BoxSpec]]:
 def triangulation_to_doc(inst: TriangulationInstance) -> dict:
     order = sorted(inst.boxes)
     return {
-        "boxes": [
-            {
-                "id": v,
-                "w": frac_str(inst.boxes[v].w),
-                "h": frac_str(inst.boxes[v].h),
-            }
-            for v in order
-        ],
+        "boxes": [_box_doc(inst.boxes[v]) for v in order],
         "rotation": {v: list(inst.rotation.get(v, ())) for v in order},
         "outer": {
             "N": inst.outer[0],
@@ -270,24 +254,8 @@ def triangulation_to_doc(inst: TriangulationInstance) -> dict:
 
 
 def parse_triangulation(doc) -> TriangulationInstance:
-    entries = _require(doc, "boxes", list, "triangulation")
-    boxes: Dict[str, BoxSpec] = {}
-    for i, entry in enumerate(entries):
-        spec = _box_spec(entry, f"triangulation.boxes[{i}]")
-        if spec.id in boxes:
-            raise FormatError(
-                f"triangulation.boxes[{i}]: duplicate id {spec.id!r}"
-            )
-        boxes[spec.id] = spec
-    rotation: Dict[str, Tuple[str, ...]] = {}
-    for v, row in _require(doc, "rotation", dict, "triangulation").items():
-        if v not in boxes:
-            raise FormatError(f"triangulation.rotation: unknown vertex {v!r}")
-        if not isinstance(row, list) or not all(
-            isinstance(u, str) and u in boxes for u in row
-        ):
-            raise FormatError(f"triangulation.rotation[{v!r}]: bad list")
-        rotation[v] = tuple(row)
+    boxes = _boxes(doc, "triangulation")
+    rotation = _rotation(doc, boxes, "triangulation")
     outer_doc = _require(doc, "outer", dict, "triangulation")
     sides = []
     for side in ("N", "E", "S", "W"):

@@ -220,16 +220,10 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
             raise TriangulationInfeasibleError("stuck", sorted(unplaced))
 
     concs = _concavities(placed)
-    if len(concs) != 2:
-        raise TriangulationInfeasibleError(
-            "not-rectangle", [(str(q[0]), str(q[1])) for q in concs]
-        )
     ex = max((q[0] for q in concs if q[1] == 0), default=None)
     ey = max((q[1] for q in concs if q[0] == 0), default=None)
-    if ex is None or ey is None or ex <= 0 or ey <= 0:
-        raise TriangulationInfeasibleError(
-            "not-rectangle", [(str(q[0]), str(q[1])) for q in concs]
-        )
+    if len(concs) != 2 or ex is None or ey is None or ex <= 0 or ey <= 0:
+        raise TriangulationInfeasibleError("not-rectangle", [q[:2] for q in concs])
 
     bn, be, bs, bw = (inst.boxes[v] for v in (vn, ve, vs, vw))
     too_small = [

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from crown.serialize import (
 from crown.hier import EmbeddedDag
 from crown.stars import max_crown_stars, maximal_planar_subgraph
 from crown.triangulation import TriangulationInstance
+
+from oracles import rand_guillotine_dual
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -122,19 +125,26 @@ def test_hier_y_conflict_exits_3(tmp_path, capsys):
     assert main(["hier", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "assign_y"
+    # d hangs from b (bottom -2) and from c (bottom -3)
+    assert err["witness"] == ["d", "-2/1", "-3/1"]
 
 
 def test_hier_feasible_chain(tmp_path, capsys):
-    dag = EmbeddedDag(("c", "s"), (("c", "s"),), {"s": ("c",), "c": ("s",)})
-    boxes = {
-        "s": BoxSpec("s", rat(2), rat(1)),
-        "c": BoxSpec("c", rat(2), rat(1)),
-    }
     path = tmp_path / "dag.json"
-    path.write_text(dumps_doc(dag_to_doc(dag, boxes)), encoding="utf-8")
+    chain_dag(path)
     assert main(["hier", str(path), "--delta", "1/2"]) == 0
     doc = loads_doc(capsys.readouterr().out)
     assert parse_frac(doc["realized_profit"], "r") == 1
+
+
+def test_hier_solve_x_witness_is_the_negative_cycle(tmp_path, capsys):
+    # unit boxes cannot overlap by 2: l_s - l_c <= -1 and l_c - l_s <= -1
+    path = tmp_path / "dag.json"
+    chain_dag(path, side=1)
+    assert main(["hier", str(path), "--delta", "2"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["stage"] == "solve_x"
+    assert err["witness"] == [["edge", "c", "s"], ["edge", "c", "s"]]
 
 
 def test_hier_empty_dag_exits_3(tmp_path):
@@ -151,7 +161,13 @@ def test_hier_empty_dag_exits_3(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["stage"] == "embedding"
+    report = json.loads(lines[0])
+    assert report["stage"] == "embedding"
+    assert report["witness"] == {
+        "kind": "sink",
+        "vertex": None,
+        "detail": "expected one sink, found []",
+    }
 
 
 def wheel_instance(path, north_width):
@@ -181,6 +197,27 @@ def test_tri_infeasible_exits_3(tmp_path, capsys):
     assert main(["tri", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "outer-too-small"
+    assert err["witness"] == ["N"]
+
+
+@pytest.mark.parametrize(
+    "inner,stage,witness",
+    [
+        (2, "stuck", ["t1"]),
+        (
+            5,
+            "not-rectangle",
+            [["0/1", "5/1"], ["2/1", "4/1"], ["3/1", "2/1"], ["6/1", "0/1"]],
+        ),
+    ],
+)
+def test_tri_stage_witness(tmp_path, capsys, inner, stage, witness):
+    path = tmp_path / "tri.json"
+    inst = rand_guillotine_dual(random.Random(0), inner, perturb=True)
+    path.write_text(dumps_doc(triangulation_to_doc(inst)), encoding="utf-8")
+    assert main(["tri", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["stage"], err["witness"]) == (stage, witness)
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):
@@ -230,9 +267,10 @@ def test_bench_warns_about_skipped_documents(tmp_path, capsys):
     assert captured.err == "warning: blank: unreadable or empty, skipped\n"
 
 
-def chain_dag(path):
+def chain_dag(path, side=2):
+    """Child c under sink s, both `side` wide and 1 tall."""
     dag = EmbeddedDag(("c", "s"), (("c", "s"),), {"s": ("c",), "c": ("s",)})
-    boxes = {v: BoxSpec(v, rat(2), rat(1)) for v in "cs"}
+    boxes = {v: BoxSpec(v, rat(side), rat(1)) for v in "cs"}
     path.write_text(dumps_doc(dag_to_doc(dag, boxes)), encoding="utf-8")
 
 

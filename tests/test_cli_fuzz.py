@@ -1,4 +1,5 @@
-"""Fuzzing the CLI contract: exit 0, 2 or 3, and one JSON line on failure.
+"""Fuzzing the CLI contract: exit 0, 2 or 3, and one JSON line on failure;
+exit 3, and only exit 3, reports a ``stage`` and a list or object witness.
 
 Each example takes a valid instance, DAG or triangulation document,
 applies a few random edits (replace a value at any depth, delete a key
@@ -179,3 +180,9 @@ def test_cli_contract_holds_on_mutated_input(command, data):
         assert len(lines) == 1, err
         report = json.loads(lines[0])
         assert set(report) >= {"error", "detail"}
+        # exit 3 <=> the report names its stage and carries a data witness
+        if code == 3:
+            assert "stage" in report, report
+            assert isinstance(report.get("witness"), (list, dict)), report
+        else:
+            assert "stage" not in report, report

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crown.errors import HierInfeasibleError, XInfeasibleError, YConflictError
+from crown.errors import HierInfeasibleError
 from crown.geometry import BoxSpec, detect_contacts, rat
 from crown.hier import (
     EmbeddedDag,
@@ -55,8 +55,9 @@ def test_assign_y_diamond_conflict():
     }
     dag = dag_of(edges, rotation)
     heights = {"a": Fraction(1), "b": Fraction(1), "c": Fraction(2), "d": Fraction(1)}
-    with pytest.raises(YConflictError):
+    with pytest.raises(HierInfeasibleError) as err:
         assign_y(dag, heights)
+    assert (err.value.stage, err.value.witness) == ("assign_y", ["d", -2, -3])
 
 
 def test_sweep_single_edge_no_pairs():
@@ -90,7 +91,7 @@ def test_solve_x_single_edge_feasible():
 
 def test_solve_x_two_preds_too_wide():
     # two unit preds under a unit sink cannot both overlap by 3/4
-    with pytest.raises(XInfeasibleError):
+    with pytest.raises(HierInfeasibleError) as err:
         solve_x(
             {"s": Fraction(1), "p": Fraction(1), "q": Fraction(1)},
             [("p", "s"), ("q", "s")],
@@ -98,6 +99,7 @@ def test_solve_x_two_preds_too_wide():
             Fraction(3, 4),
             "s",
         )
+    assert err.value.stage == "solve_x"
 
 
 def test_validate_embedding_catches_unknown_vertex():
@@ -167,8 +169,36 @@ def test_feasibility_monotone_in_delta():
     assert results == sorted(results, reverse=True)
 
 
+def closed_walk_weights(witness, widths, delta):
+    """Weights of every closed walk that orients the witness constraints in
+    list order: an edge (i, j) is the arc i -> j of weight w_i - delta or
+    j -> i of weight w_j - delta, an order pair (a, b) the arc b -> a of
+    weight -w_a (shortest-path form of l_v <= l_u + weight)."""
+
+    def arcs(desc):
+        kind, a, b = desc
+        if kind == "edge":
+            return [(a, b, widths[a] - delta), (b, a, widths[b] - delta)]
+        return [(b, a, -widths[a])]
+
+    def walks(at, rest, total, start):
+        if not rest:
+            return [total] if at == start else []
+        return [
+            w
+            for u, v, c in arcs(rest[0])
+            if u == at
+            for w in walks(v, rest[1:], total + c, start)
+        ]
+
+    return [
+        w for u, _, _ in arcs(witness[0]) for w in walks(u, witness, Fraction(0), u)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
+@example(9).via("a seed whose verdict is solve_x")
 def test_solve_hier_matches_grid_oracle(seed):
     rng = random.Random(seed)
     dag, boxes = rand_embedded_dag(rng, rng.randrange(2, 6))
@@ -176,11 +206,22 @@ def test_solve_hier_matches_grid_oracle(seed):
     try:
         lay = solve_hier(dag, boxes, Fraction(1))
         got = True
-    except HierInfeasibleError:
+    except HierInfeasibleError as err:
         got = False
+        failure = err
     assert got == want
     if got:
         detect_contacts(lay)  # no overlaps
+    elif failure.stage == "solve_x":
+        # the negative cycle is a certificate: constraints of this
+        # instance that chain into a closed walk of negative weight
+        y = assign_y(dag, {v: boxes[v].h for v in dag.vertices})
+        constraints = {("edge", *e) for e in dag.edges} | {
+            ("order", *p) for p in sweep_order(dag, y)
+        }
+        assert failure.witness and set(failure.witness) <= constraints
+        widths = {v: boxes[v].w for v in dag.vertices}
+        assert any(w < 0 for w in closed_walk_weights(failure.witness, widths, 1))
 
 
 @settings(max_examples=40, deadline=None)
