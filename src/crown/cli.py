@@ -108,6 +108,16 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 
+def _algos_arg(text: str) -> tuple:
+    algos = tuple(text.split(","))
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {algo!r} (choose from {', '.join(ALGORITHMS)})"
+            )
+    return algos
+
+
 def _lay_out(algo: str, graph, boxes, args):
     """Run one of ALGORITHMS with the --eps, --corners and --seed flags."""
     if algo == "cycle-cover":
@@ -183,9 +193,6 @@ def _bench_document(doc_id, text, args, stopwords):
 
 
 def cmd_bench(args) -> int:
-    for algo in args.algos:
-        if algo not in ALGORITHMS:
-            return _fail(EXIT_MALFORMED, "format", f"unknown algorithm {algo!r}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     docs = load_corpus(args.corpus)
     unread = sorted(
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=int, choices=(50, 100), default=50)
     p_bench.add_argument(
         "--algos",
-        type=lambda s: tuple(s.split(",")),
+        type=_algos_arg,
         default=ALGORITHMS,
         help="comma-separated algorithm list",
     )

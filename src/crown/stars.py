@@ -7,8 +7,10 @@ are the sides (top/bottom capacity = center width, left/right capacity =
 center height).  Trees split into 2 star forests, planar graphs into at
 most 6, and the best per-forest layout is kept.
 
-networkx is imported inside the two functions that call it, so importing
-this module does not load it.
+Only ``partition_planar`` uses networkx, for the planar embedding and
+the canonical ordering, and imports it inside, so importing this module
+does not load it.  ``maximal_planar_subgraph`` tests planarity with its
+own boolean left-right test, ``_is_planar``.
 """
 
 import itertools
@@ -360,6 +362,213 @@ def _block_path(vblocks, bverts, a: str, b: str) -> Optional[List[int]]:
     return None
 
 
+def _is_planar(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
+    """Left-right planarity test (Brandes 2009, "The Left-Right Planarity
+    Test") on vertices 0..n-1 and a simple edge list, without loops or
+    repeated edges.
+
+    Only the orientation and testing phases run: no embedding is built.
+    Edge i is the i-th entry of ``edges``; every per-edge and per-vertex
+    value is a flat list indexed by id, and -1 means none.  A conflict
+    pair is a list [left.low, left.high, right.low, right.high] of
+    return-edge ids; an interval is empty when both its ends are -1.
+    Both depth-first searches keep an explicit stack and a per-vertex
+    position, so no recursion limit applies.
+    """
+    m = len(edges)
+    adj_w: List[List[int]] = [[] for _ in range(n)]  # vertex -> neighbours
+    adj_e: List[List[int]] = [[] for _ in range(n)]  # vertex -> edge ids
+    for i, (a, b) in enumerate(edges):
+        adj_w[a].append(b)
+        adj_e[a].append(i)
+        adj_w[b].append(a)
+        adj_e[b].append(i)
+
+    # Orientation: a depth-first search directs each edge away from the
+    # root (tree edges) or up to an ancestor (back edges) and gives it its
+    # lowpoints and nesting depth, folding them into the parent edge.
+    height = [-1] * n
+    parent = [-1] * n  # vertex -> tree edge from its parent
+    tail = [-1] * m
+    head = [-1] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: List[List[int]] = [[] for _ in range(n)]  # vertex -> oriented edges
+    pos = [0] * n
+    roots = []
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent[v]
+            ws, es, out_v = adj_w[v], adj_e[v], out[v]
+            i = pos[v]
+            while i < len(es):
+                vw = es[i]
+                t = tail[vw]
+                if t < 0:
+                    w = ws[i]
+                    tail[vw], head[vw] = v, w
+                    out_v.append(vw)
+                    if height[w] < 0:  # tree edge, finished when w is
+                        parent[w] = vw
+                        height[w] = hv + 1
+                        lowpt[vw] = lowpt2[vw] = hv
+                        stack.append(w)
+                        break
+                    low = lowpt[vw] = height[w]  # back edge
+                    low2 = lowpt2[vw] = hv
+                    nesting[vw] = 2 * low
+                elif t == v:  # the tree edge to a finished child
+                    low, low2 = lowpt[vw], lowpt2[vw]
+                    nesting[vw] = 2 * low + (low2 < hv)
+                else:  # oriented from its other end
+                    i += 1
+                    continue
+                if e >= 0:
+                    low_e = lowpt[e]
+                    if low < low_e:
+                        lowpt2[e] = min(low_e, low2)
+                        lowpt[e] = low
+                    elif low > low_e:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], low2)
+                i += 1
+            else:
+                stack.pop()
+            pos[v] = i
+
+    # Testing: a second search in nesting order merges the return edges
+    # of each vertex's outgoing edges into conflict pairs on one stack.
+    for out_v in out:
+        out_v.sort(key=nesting.__getitem__)
+    pairs: List[List[int]] = []
+    bottom: List[Optional[List[int]]] = [None] * m  # edge -> top pair on entry
+    lowpt_edge = [-1] * m
+    ref = [-1] * m
+
+    def add_constraints(ei: int, e: int) -> bool:
+        """Merge the return edges of ei, and those of its earlier
+        siblings that conflict with them, into one new pair; False when
+        no left/right split exists."""
+        p = [-1, -1, -1, -1]
+        low_e = lowpt[e]
+        below = bottom[ei]
+        while True:  # the return edges of ei go right
+            q = pairs.pop()
+            if q[0] != -1 or q[1] != -1:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] != -1 or q[1] != -1:
+                    return False
+            if lowpt[q[2]] > low_e:
+                if p[2] == -1 and p[3] == -1:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            if (pairs[-1] if pairs else None) is below:
+                break
+        low_i = lowpt[ei]
+        while pairs:  # conflicting pairs of earlier siblings go left
+            q = pairs[-1]
+            if not (
+                (q[1] != -1 and lowpt[q[1]] > low_i) or (q[3] != -1 and lowpt[q[3]] > low_i)
+            ):
+                break
+            pairs.pop()
+            if q[3] != -1 and lowpt[q[3]] > low_i:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[3] != -1 and lowpt[q[3]] > low_i:
+                    return False
+            if p[2] != -1:  # the right interval may still be empty
+                ref[p[2]] = q[3]
+            if q[2] != -1:
+                p[2] = q[2]
+            if p[0] == -1 and p[1] == -1:
+                p[1] = q[1]
+            elif p[0] != -1:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p != [-1, -1, -1, -1]:
+            pairs.append(p)
+        return True
+
+    def remove_back_edges(u: int) -> None:
+        """Drop the pairs whose return edges all end at u, the parent of
+        the vertex just finished, and trim u off the next one."""
+        hu = height[u]
+        while pairs:
+            p = pairs[-1]
+            if p[0] == -1 and p[1] == -1:
+                lowest = lowpt[p[2]]
+            elif p[2] == -1 and p[3] == -1:
+                lowest = lowpt[p[0]]
+            else:
+                lowest = min(lowpt[p[0]], lowpt[p[2]])
+            if lowest != hu:
+                break
+            pairs.pop()
+        else:
+            return
+        while p[1] != -1 and head[p[1]] == u:
+            p[1] = ref[p[1]]
+        if p[1] == -1 and p[0] != -1:  # left interval just emptied
+            ref[p[0]] = p[2]
+            p[0] = -1
+        while p[3] != -1 and head[p[3]] == u:
+            p[3] = ref[p[3]]
+        if p[3] == -1 and p[2] != -1:  # right interval just emptied
+            ref[p[2]] = p[0]
+            p[2] = -1
+        # The embedding phase would also set ref of the tree edge here;
+        # the test itself never reads ref of a tree edge.
+
+    entered = [False] * n
+    pos = [0] * n
+    for root in roots:
+        entered[root] = True
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent[v]
+            out_v = out[v]
+            i = pos[v]
+            while i < len(out_v):
+                ei = out_v[i]
+                w = head[ei]
+                if parent[w] != ei:  # back edge
+                    bottom[ei] = pairs[-1] if pairs else None
+                    lowpt_edge[ei] = ei
+                    pairs.append([-1, -1, ei, ei])
+                elif not entered[w]:  # tree edge, integrated when w is done
+                    bottom[ei] = pairs[-1] if pairs else None
+                    entered[w] = True
+                    stack.append(w)
+                    break
+                if lowpt[ei] < hv:  # ei has return edges below v
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return False
+                i += 1
+            else:
+                stack.pop()
+                if e >= 0:
+                    remove_back_edges(tail[e])
+            pos[v] = i
+    return True
+
+
 def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     """Greedy maximal planar subgraph, richest edges first.
 
@@ -370,11 +579,10 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     block-cut-forest path from a to b.  So each edge is tested against
     that union of blocks alone, rejected without a test when the union
     would exceed 3V-6 edges, and kept without a test when it joins two
-    components (a bridge).  The result is the same as testing the whole
-    running graph after every edge.
+    components (a bridge).  The test is the boolean left-right test
+    ``_is_planar`` on the union relabelled to integers.  The result is
+    the same as testing the whole running graph after every edge.
     """
-    import networkx as nx
-
     ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
     kept = ProfitGraph(graph.vertices)
     bedges: Dict[int, List[Tuple[str, str]]] = {}  # block -> its edges
@@ -388,7 +596,10 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
             edges = [e for blk in path for e in bedges[blk]]
             edges.append((a, b))
             verts = set().union(*(bverts[blk] for blk in path))
-            if len(edges) > 3 * len(verts) - 6 or not nx.check_planarity(nx.Graph(edges))[0]:
+            if len(edges) > 3 * len(verts) - 6:
+                continue
+            idx = {v: i for i, v in enumerate(verts)}
+            if not _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges]):
                 continue
             for blk in path:
                 del bedges[blk], bverts[blk]

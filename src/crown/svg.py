@@ -10,7 +10,6 @@ any floating-point formatting.
 import zlib
 from fractions import Fraction
 from typing import Mapping, Optional
-from xml.sax.saxutils import escape
 
 from .geometry import Layout
 
@@ -43,6 +42,13 @@ def dec(q: Fraction) -> str:
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
+
+
+def _escape(text: str) -> str:
+    """XML character data: the three replacements of
+    ``xml.sax.saxutils.escape``, whose import pulls in ``urllib`` and
+    ``http.client`` (about 2 MB resident even beside networkx)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def fill_color(box_id: str) -> str:
@@ -84,7 +90,7 @@ def render_svg(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
             f'  <text x="{dec(x + b.w / 2)}" y="{dec(-(y + b.h / 2))}" '
             f'font-size="{dec(font)}" text-anchor="middle" '
             f'dominant-baseline="central" fill="#1a1a1a">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -219,6 +219,14 @@ def star_opt(inst: StarInstance) -> Fraction:
     return best
 
 
+def is_planar_nx(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
+    """networkx's planarity verdict on vertices 0..n-1 and ``edges``."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return nx.check_planarity(g)[0]
+
+
 def maximal_planar_subgraph_brute(graph: ProfitGraph) -> ProfitGraph:
     """The greedy maximal planar subgraph, one whole-graph planarity test
     per edge in (profit descending, id pair) order."""

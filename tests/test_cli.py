@@ -252,8 +252,13 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     mini = tmp_path / "corpus"
     mini.mkdir()
     shutil.copy(REPO / "corpus" / "tides.txt", mini / "tides.txt")
-    assert main(["bench", str(mini), "--algos", "frobnicate"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(mini), "--algos", "random,frobnicate"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
 
 
 def test_bench_warns_about_skipped_documents(tmp_path, capsys):
@@ -306,6 +311,21 @@ def test_networkx_loads_only_for_star_forests(tmp_path, argv, loads):
     )
     assert proc.stdout == f"0 {loads}\n", proc.stderr
     assert out.read_text(encoding="utf-8").startswith("{")
+
+
+def test_maximal_planar_subgraph_does_not_load_networkx():
+    code = (
+        "import sys\n"
+        "from crown.geometry import ProfitGraph\n"
+        "from crown.stars import maximal_planar_subgraph\n"
+        "vs = 'abcde'\n"
+        "g = ProfitGraph(vs, {(u, v): 1 for i, u in enumerate(vs) for v in vs[i + 1 :]})\n"
+        "print(len(maximal_planar_subgraph(g).edges()), 'networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True
+    )
+    assert proc.stdout == "9 False\n", proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """Star packing, star-forest partitions, and the planar pipeline."""
 
+import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.stars import (
     MAX_CORNER_POOL,
     StarInstance,
+    _is_planar,
     max_crown_stars,
     maximal_planar_subgraph,
     partition_planar,
@@ -20,6 +24,7 @@ from crown.stars import (
 )
 
 from oracles import (
+    is_planar_nx,
     maximal_planar_subgraph_brute,
     rand_clustered_graph,
     rand_star_instance,
@@ -280,6 +285,99 @@ def test_maximal_planar_subgraph_matches_whole_graph_greedy(seed):
     ref = maximal_planar_subgraph_brute(g)
     assert sub.edges() == ref.edges()
     assert sub.vertices == ref.vertices
+
+
+K5 = list(combinations(range(5), 2))
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def shuffled(rng, n, edges):
+    """``edges`` under a random vertex permutation, in random order with
+    random endpoint order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a]) for a, b in edges]
+    rng.shuffle(out)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_is_planar_matches_networkx_on_clustered_graphs(seed):
+    rng = random.Random(seed)
+    g = rand_clustered_graph(rng, 14)
+    idx = {v: i for i, v in enumerate(sorted(g.vertices))}
+    n = len(idx)
+    edges = shuffled(rng, n, [(idx[a], idx[b]) for a, b, _ in g.edges()])
+    assert _is_planar(n, edges) == is_planar_nx(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_is_planar_matches_networkx_at_the_planarity_boundary(seed):
+    # A greedy maximal planar subgraph is planar, and adding any edge it
+    # rejected is not: the hardest cases for the left-right test.
+    rng = random.Random(seed)
+    g = rand_clustered_graph(rng, 14)
+    kept = maximal_planar_subgraph_brute(g)
+    idx = {v: i for i, v in enumerate(sorted(g.vertices))}
+    n = len(idx)
+    planar = [(idx[a], idx[b]) for a, b, _ in kept.edges()]
+    rejected = sorted(set(g.edges()) - set(kept.edges()))
+    cases = [planar] + [planar + [(idx[a], idx[b])] for a, b, _ in rejected]
+    for edges in cases:
+        edges = shuffled(rng, n, edges)
+        assert _is_planar(n, edges) == is_planar_nx(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([K5, K33]),
+    st.booleans(),
+)
+def test_is_planar_matches_networkx_on_kuratowski_subdivisions(seed, base, delete):
+    # Each edge of K5 or K3,3 becomes a path of 1-3 edges; deleting any
+    # one of those edges leaves a planar graph.  Pendant trees hang on top.
+    rng = random.Random(seed)
+    n = 6 if base is K33 else 5
+    edges = []
+    for a, b in base:
+        for _ in range(rng.randrange(3)):
+            edges.append((a, n))
+            a, n = n, n + 1
+        edges.append((a, b))
+    if delete:
+        edges.pop(rng.randrange(len(edges)))
+    for _ in range(rng.randrange(8)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    edges = shuffled(rng, n, edges)
+    assert _is_planar(n, edges) == is_planar_nx(n, edges) == delete
+
+
+def ladder(length):
+    """The 2 x length grid: rails 0..length-1 and length..2*length-1, rung
+    i joining i and length+i; the rails come first, so the depth-first
+    search runs down one rail and back along the other."""
+    top = [(i, i + 1) for i in range(length - 1)]
+    bottom = [(length + i, length + i + 1) for i in range(length - 1)]
+    rungs = [(i, length + i) for i in range(length)]
+    return top + bottom + rungs
+
+
+def test_is_planar_has_no_recursion_limit():
+    length = 2 * sys.getrecursionlimit()
+    n = 2 * length
+    edges = ladder(length)
+    assert _is_planar(n, edges)
+    # A K3,3 subdivision whose branch vertices 0 and length-1 are joined by
+    # the whole top rail; the other four branch vertices are new.
+    a1, b1, a2, a3, b2, b3 = 0, length - 1, n, n + 1, n + 2, n + 3
+    spliced = edges + [
+        (a1, b2), (a1, b3), (a2, b1), (a2, b2), (a2, b3), (a3, b1), (a3, b2), (a3, b3)
+    ]
+    assert not _is_planar(n + 4, spliced)
 
 
 @settings(max_examples=40, deadline=None)
