@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import ParameterError, TooLargeError
-from .geometry import rat
+from .geometry import denominator_lcm, rat
 
 # Largest scaled value total the knapsack DP may index: it allocates two
 # lists of that many cells (top is about n^2 / eps).  At the limit one
@@ -94,8 +93,8 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
     n = len(usable)
 
     # Integer sizes: clear denominators once per call.
-    den = lcm(capacity.denominator, *(s.denominator for _, s, _ in usable))
-    cap_i = capacity * den
+    den = denominator_lcm([capacity, *(s for _, s, _ in usable)])
+    cap_i = int(capacity * den)
     scale = n / (eps * v_max)  # 1/K
     scaled = [(idx, int(s * den), int(v * scale)) for idx, s, v in usable]
 
@@ -116,9 +115,11 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
                 continue
             nv = sv + val_i
             ns = best_size[sv] + size_i
-            cand = best_set[sv] + (idx,)
             cur = best_size[nv]
-            if cur is None or ns < cur or (ns == cur and cand < best_set[nv]):
+            if cur is not None and ns > cur:
+                continue
+            cand = best_set[sv] + (idx,)
+            if cur is None or ns < cur or cand < best_set[nv]:
                 best_size[nv] = ns
                 best_set[nv] = cand
         reach = min(top, reach + val_i)

@@ -18,6 +18,7 @@ fast path anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -32,6 +33,12 @@ def rat(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational")
     return Fraction(value)
+
+
+def denominator_lcm(values: Iterable) -> int:
+    """Least common multiple of the denominators of ints and Fractions (1
+    when there are none): the smallest unit that makes every value whole."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HierInfeasibleError, ParameterError
-from .geometry import BoxSpec, Layout, rat
+from .geometry import BoxSpec, Layout, denominator_lcm, rat
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,12 @@ class EmbeddedDag:
         object.__setattr__(
             self, "rotation", {v: tuple(r) for v, r in self.rotation.items()}
         )
-        known = set(self.vertices)
+        ins: Dict[str, set] = {v: set() for v in self.vertices}
         for u, v in self.edges:
-            if u not in known or v not in known:
+            if u not in ins or v not in ins:
                 raise ParameterError(f"edge ({u!r}, {v!r}) references unknown vertex")
+            ins[v].add(u)
+        object.__setattr__(self, "_ins", ins)
 
     def sink(self) -> str:
         outs = {u for u, _ in self.edges}
@@ -47,7 +49,7 @@ class EmbeddedDag:
 
     def predecessors(self, v: str) -> List[str]:
         """In-neighbors of v, left to right per the rotation convention."""
-        ins = {u for u, w in self.edges if w == v}
+        ins = self._ins.get(v, ())
         rot = self.rotation.get(v, ())
         k = len(rot)
         start = 0
@@ -144,15 +146,14 @@ def assign_y(dag: EmbeddedDag, heights: Mapping[str, Fraction]) -> Dict[str, Tup
     parents force different tops on one box.
     """
     sink = dag.sink()
-    ins: Dict[str, List[str]] = {v: [] for v in dag.vertices}
-    for u, v in dag.edges:
-        ins[v].append(u)
     top: Dict[str, Fraction] = {sink: Fraction(0)}
     queue = [sink]
-    while queue:
-        v = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
         bottom = top[v] - rat(heights[v])
-        for u in sorted(ins[v]):
+        for u in sorted(dag._ins[v]):
             if u in top:
                 if top[u] != bottom:
                     raise HierInfeasibleError("assign_y", [u, top[u], bottom])
@@ -213,25 +214,38 @@ def solve_x(
     w_j - delta; an order pair (a, b) needs l_a - l_b <= -w_a.  Solved by
     shortest paths from the anchor (l_anchor = 0).  A negative cycle
     raises HierInfeasibleError("solve_x", [descriptors around it]).
+
+    The shortest paths run on integers: every cost is counted in units of
+    1/unit, unit = lcm of the denominators of delta and the widths.
+    Scaling by a positive integer keeps every comparison, so distances,
+    predecessors and witnesses are those of the same search on Fractions.
     """
     delta = rat(delta)
-    cons: List[Tuple[str, str, Fraction, Tuple]] = []
+    widths = {v: rat(w) for v, w in widths.items()}
+    unit = denominator_lcm([delta, *widths.values()])
+    w_u = {v: int(w * unit) for v, w in widths.items()}
+    delta_u = int(delta * unit)
+    cons: List[Tuple[str, str, int, Tuple]] = []
     for i, j in edges:
-        cons.append((i, j, rat(widths[i]) - delta, ("edge", i, j)))
-        cons.append((j, i, rat(widths[j]) - delta, ("edge", i, j)))
+        cons.append((i, j, w_u[i] - delta_u, ("edge", i, j)))
+        cons.append((j, i, w_u[j] - delta_u, ("edge", i, j)))
     for a, b in order:
-        cons.append((b, a, -rat(widths[a]), ("order", a, b)))
+        cons.append((b, a, -w_u[a], ("order", a, b)))
 
-    dist: Dict[str, Optional[Fraction]] = {v: None for v in widths}
+    dist: Dict[str, Optional[int]] = {v: None for v in widths}
     pred: Dict[str, int] = {}
-    dist[anchor] = Fraction(0)
+    dist[anchor] = 0
     n = len(dist)
 
     def relax_pass() -> Optional[str]:
         hit = None
         for idx, (u, v, c, _) in enumerate(cons):
-            if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
-                dist[v] = dist[u] + c
+            du = dist[u]
+            if du is None:
+                continue
+            dv = dist[v]
+            if dv is None or du + c < dv:
+                dist[v] = du + c
                 pred[v] = idx
                 hit = v
         return hit
@@ -243,7 +257,7 @@ def solve_x(
             missing = sorted(v for v, d in dist.items() if d is None)
             if missing:
                 raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
-            return dict(dist)
+            return {v: Fraction(d, unit) for v, d in dist.items()}
     # A relaxation in the n-th pass means a negative cycle.  Any cycle of
     # predecessor pointers has negative weight, so keep relaxing until the
     # pointers close one, then report the constraints around it.

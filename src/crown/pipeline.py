@@ -23,7 +23,7 @@ from random import Random
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidInstanceError
-from .geometry import BoxSpec, Layout, ProfitGraph
+from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm
 
 GRID = Fraction(1, 64)
 COS_GRID = 1 << 20
@@ -220,9 +220,7 @@ def random_baseline(
     lay = Layout()
     if not order:
         return lay
-    unit = math.lcm(
-        64, *(2 * d for b in order for d in (b.w.denominator, b.h.denominator))
-    )
+    unit = math.lcm(64, 2 * denominator_lcm(d for b in order for d in (b.w, b.h)))
     step = unit // 64
     placed: List[Tuple[int, int, int, int]] = []
     pitch = float(max(max(b.w for b in order), max(b.h for b in order)) / 4)

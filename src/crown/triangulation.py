@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInstanceError, TriangulationInfeasibleError
-from .geometry import BoxSpec, Layout
+from .geometry import BoxSpec, Layout, denominator_lcm
 
-Rect = Tuple[Fraction, Fraction, Fraction, Fraction]  # x1, y1, x2, y2
+Rect = Tuple[int, int, int, int]  # x1, y1, x2, y2 in units of 1/unit
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _rect_convex(rects: Sequence[Rect]) -> bool:
     return True
 
 
-def _concavities(placed: Mapping[str, Rect]) -> List[Tuple[Fraction, Fraction, str, str]]:
+def _concavities(placed: Mapping[str, Rect]) -> List[Tuple[int, int, str, str]]:
     """Corners that can host the next box: (x, y, wall id, floor id).
 
     A concavity is a bottom-right or top-left corner of a placed
@@ -185,6 +185,10 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     Stages: "stuck" (some inner box can never be placed), "not-rectangle"
     (inner boxes do not close up to a rectangle), "outer-too-small" (the
     frame boxes cannot wrap the inner rectangle).
+
+    The staircase runs on integers: coordinates are counted in units of
+    1/unit, unit = lcm of the denominators of every box dimension, and
+    turn back into Fractions only in the layout and the witnesses.
     """
     violation = validate_instance(inst)
     if violation is not None:
@@ -193,11 +197,10 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     adj = {v: set(inst.rotation[v]) for v in inst.rotation}
     inner = sorted(set(inst.rotation) - set(inst.outer))
 
-    span = sum((b.w + b.h for b in inst.boxes.values()), Fraction(1))
-    placed: Dict[str, Rect] = {
-        vw: (-span, Fraction(0), Fraction(0), span),
-        vs: (Fraction(0), -span, span, Fraction(0)),
-    }
+    unit = denominator_lcm(d for b in inst.boxes.values() for d in (b.w, b.h))
+    dims = {v: (int(b.w * unit), int(b.h * unit)) for v, b in inst.boxes.items()}
+    span = sum(w + h for w, h in dims.values()) + unit
+    placed: Dict[str, Rect] = {vw: (-span, 0, 0, span), vs: (0, -span, span, 0)}
     unplaced = set(inner)
 
     while unplaced:
@@ -206,8 +209,8 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
             common = sorted((adj[wall] & adj[floor] & unplaced))
             if not common:
                 continue
-            cand = inst.boxes[common[0]]
-            rect = (qx, qy, qx + cand.w, qy + cand.h)
+            w, h = dims[common[0]]
+            rect = (qx, qy, qx + w, qy + h)
             if any(_overlaps(rect, r) for r in placed.values()):
                 continue
             if not _rect_convex(list(placed.values()) + [rect]):
@@ -223,7 +226,10 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     ex = max((q[0] for q in concs if q[1] == 0), default=None)
     ey = max((q[1] for q in concs if q[0] == 0), default=None)
     if len(concs) != 2 or ex is None or ey is None or ex <= 0 or ey <= 0:
-        raise TriangulationInfeasibleError("not-rectangle", [q[:2] for q in concs])
+        raise TriangulationInfeasibleError(
+            "not-rectangle", [(Fraction(x, unit), Fraction(y, unit)) for x, y, _, _ in concs]
+        )
+    ex, ey = Fraction(ex, unit), Fraction(ey, unit)
 
     bn, be, bs, bw = (inst.boxes[v] for v in (vn, ve, vs, vw))
     too_small = [
@@ -242,7 +248,7 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     lay = Layout()
     for v in inner:
         x1, y1, _, _ = placed[v]
-        lay.place(inst.boxes[v], x1, y1)
+        lay.place(inst.boxes[v], Fraction(x1, unit), Fraction(y1, unit))
     lay.place(bw, -bw.w, 0)
     lay.place(bs, ex - bs.w, -bs.h)
     lay.place(bn, 0, ey)

@@ -18,12 +18,24 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from crown.cycles import CycleCover
-from crown.errors import TooLargeError
+from crown.errors import (
+    HierInfeasibleError,
+    InvalidInstanceError,
+    ParameterError,
+    TooLargeError,
+    TriangulationInfeasibleError,
+)
 from crown.gap import GapAssignment, GapInstance
-from crown.geometry import BoxSpec, Layout, ProfitGraph
-from crown.hier import EmbeddedDag
+from crown.geometry import BoxSpec, Layout, ProfitGraph, rat
+from crown.hier import EmbeddedDag, _pred_cycle
 from crown.stars import StarInstance
-from crown.triangulation import TriangulationInstance
+from crown.triangulation import (
+    TriangulationInstance,
+    _concavities,
+    _overlaps,
+    _rect_convex,
+    validate_instance,
+)
 
 IRect = Tuple[int, int, int, int]  # x1, y1, x2, y2
 
@@ -370,6 +382,122 @@ def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
             covers.append(tuple(cover))
     assert not any(adj.values())
     return CycleCover(tuple(covers))
+
+
+def solve_x_fraction(
+    widths: Mapping[str, Fraction],
+    edges: Sequence[Tuple[str, str]],
+    order: Sequence[Tuple[str, str]],
+    delta,
+    anchor: str,
+) -> Dict[str, Fraction]:
+    """``hier.solve_x`` with the Bellman-Ford distances on Fractions."""
+    delta = rat(delta)
+    cons: List[Tuple[str, str, Fraction, Tuple]] = []
+    for i, j in edges:
+        cons.append((i, j, rat(widths[i]) - delta, ("edge", i, j)))
+        cons.append((j, i, rat(widths[j]) - delta, ("edge", i, j)))
+    for a, b in order:
+        cons.append((b, a, -rat(widths[a]), ("order", a, b)))
+
+    dist: Dict[str, Optional[Fraction]] = {v: None for v in widths}
+    pred: Dict[str, int] = {}
+    dist[anchor] = Fraction(0)
+    n = len(dist)
+
+    def relax_pass() -> Optional[str]:
+        hit = None
+        for idx, (u, v, c, _) in enumerate(cons):
+            if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
+                dist[v] = dist[u] + c
+                pred[v] = idx
+                hit = v
+        return hit
+
+    last = None
+    for _ in range(n):
+        last = relax_pass()
+        if last is None:
+            missing = sorted(v for v, d in dist.items() if d is None)
+            if missing:
+                raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
+            return dict(dist)
+    # A relaxation in the n-th pass means a negative cycle.  Any cycle of
+    # predecessor pointers has negative weight, so keep relaxing until the
+    # pointers close one, then report the constraints around it.
+    for _ in range(4 * n + 4):
+        cyc = _pred_cycle(last, pred, cons, n)
+        if cyc is not None:
+            raise HierInfeasibleError("solve_x", cyc)
+        last = relax_pass() or last
+    raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])
+
+
+def realize_triangulation_fraction(inst: TriangulationInstance) -> Layout:
+    """``triangulation.realize_triangulation`` with the staircase on
+    Fraction rectangles (the library's helpers take either)."""
+    violation = validate_instance(inst)
+    if violation is not None:
+        raise InvalidInstanceError(f"{violation.kind}: {violation.detail}")
+    vn, ve, vs, vw = inst.outer
+    adj = {v: set(inst.rotation[v]) for v in inst.rotation}
+    inner = sorted(set(inst.rotation) - set(inst.outer))
+
+    span = sum((b.w + b.h for b in inst.boxes.values()), Fraction(1))
+    placed = {
+        vw: (-span, Fraction(0), Fraction(0), span),
+        vs: (Fraction(0), -span, span, Fraction(0)),
+    }
+    unplaced = set(inner)
+
+    while unplaced:
+        progressed = False
+        for qx, qy, wall, floor in _concavities(placed):
+            common = sorted((adj[wall] & adj[floor] & unplaced))
+            if not common:
+                continue
+            cand = inst.boxes[common[0]]
+            rect = (qx, qy, qx + cand.w, qy + cand.h)
+            if any(_overlaps(rect, r) for r in placed.values()):
+                continue
+            if not _rect_convex(list(placed.values()) + [rect]):
+                continue
+            placed[common[0]] = rect
+            unplaced.discard(common[0])
+            progressed = True
+            break
+        if not progressed:
+            raise TriangulationInfeasibleError("stuck", sorted(unplaced))
+
+    concs = _concavities(placed)
+    ex = max((q[0] for q in concs if q[1] == 0), default=None)
+    ey = max((q[1] for q in concs if q[0] == 0), default=None)
+    if len(concs) != 2 or ex is None or ey is None or ex <= 0 or ey <= 0:
+        raise TriangulationInfeasibleError("not-rectangle", [q[:2] for q in concs])
+
+    bn, be, bs, bw = (inst.boxes[v] for v in (vn, ve, vs, vw))
+    too_small = [
+        side
+        for side, ok in (
+            (vn, bn.w >= ex),
+            (vs, bs.w >= ex),
+            (ve, be.h >= ey),
+            (vw, bw.h >= ey),
+        )
+        if not ok
+    ]
+    if too_small:
+        raise TriangulationInfeasibleError("outer-too-small", too_small)
+
+    lay = Layout()
+    for v in inner:
+        x1, y1, _, _ = placed[v]
+        lay.place(inst.boxes[v], x1, y1)
+    lay.place(bw, -bw.w, 0)
+    lay.place(bs, ex - bs.w, -bs.h)
+    lay.place(bn, 0, ey)
+    lay.place(be, ex, ey - be.h)
+    return lay
 
 
 # ---------------------------------------------------------------------------

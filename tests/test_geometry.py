@@ -5,6 +5,7 @@ other module leans on them, so these tests pin the exact semantics:
 orientation, point contacts, overlap rejection, and the pack helper.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from crown.geometry import (
     Layout,
     ProfitGraph,
     contact_pairs,
+    denominator_lcm,
     detect_contacts,
     pack_components,
     rat,
@@ -42,6 +44,18 @@ def test_rat_accepts_exact_types_only():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def test_denominator_lcm_is_one_on_integers_and_empty_input():
+    assert denominator_lcm([]) == 1
+    assert denominator_lcm([3, -7, Fraction(8, 4)]) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=1000), max_size=12))
+def test_denominator_lcm_matches_math_lcm(values):
+    assert denominator_lcm(values) == math.lcm(*(v.denominator for v in values))
+    assert all((v * denominator_lcm(values)).denominator == 1 for v in values)
 
 
 def test_boxspec_rejects_nonpositive_dims():

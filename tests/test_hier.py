@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown.errors import HierInfeasibleError
-from crown.geometry import BoxSpec, detect_contacts, rat
+from crown.geometry import BoxSpec, denominator_lcm, detect_contacts, rat
 from crown.hier import (
     EmbeddedDag,
     assign_y,
@@ -19,7 +19,7 @@ from crown.hier import (
     validate_embedding,
 )
 
-from oracles import hier_feasible, rand_embedded_dag
+from oracles import hier_feasible, rand_embedded_dag, solve_x_fraction
 
 
 def dag_of(edges, rotation):
@@ -237,3 +237,70 @@ def test_solve_hier_output_slack(seed):
     for child, parent in dag.edges:
         c = contacts[tuple(sorted((child, parent)))]
         assert c.orientation == "v" and c.hi - c.lo >= 1
+
+
+def off_grid(rng, hi):
+    """A Fraction in (0, hi] with a denominator from 1..7 or 64."""
+    d = rng.choice((1, 2, 3, 4, 5, 6, 7, 64))
+    return Fraction(rng.randrange(1, hi * d + 1), d)
+
+
+def x_outcome(*args):
+    """solve_x and its Fraction reference on the same input must give the
+    same left coordinates (as Fractions), or the same stage and witness;
+    returns "ok" or the stage."""
+    results = []
+    for solver in (solve_x, solve_x_fraction):
+        try:
+            results.append(("ok", solver(*args)))
+        except HierInfeasibleError as err:
+            results.append((err.stage, err.witness))
+    got, want = results
+    assert got == want
+    if got[0] == "ok":
+        assert all(type(x) is Fraction for x in got[1].values())
+    return got[0]
+
+
+def random_x_outcome(seed):
+    """x_outcome on a random hierarchy with off-grid widths and delta; the
+    order pairs come from the sweep, or are drawn at random when the
+    heights clash in assign_y."""
+    rng = random.Random(seed)
+    dag, boxes = rand_embedded_dag(rng, rng.randrange(2, 10))
+    widths = {v: off_grid(rng, 6) for v in dag.vertices}
+    delta = off_grid(rng, 2)
+    try:
+        order = sweep_order(dag, assign_y(dag, {v: b.h for v, b in boxes.items()}))
+    except HierInfeasibleError:
+        order = [tuple(rng.sample(dag.vertices, 2)) for _ in range(rng.randrange(4))]
+    return x_outcome(widths, dag.edges, order, delta, dag.sink())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_solve_x_matches_fraction_reference(seed):
+    random_x_outcome(seed)
+
+
+def test_fraction_reference_draws_reach_both_verdicts():
+    assert {random_x_outcome(seed) for seed in range(20)} == {"ok", "solve_x"}
+
+
+def test_solve_x_exact_past_a_64_bit_unit():
+    # children of widths 1/p for the first 30 primes side by side under
+    # one sink: the common unit is their product, far past 2**64
+    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+    kids = [f"c{p:03d}" for p in primes]
+    widths = {"s": Fraction(2), **{k: Fraction(1, p) for k, p in zip(kids, primes)}}
+    edges = [(k, "s") for k in kids]
+    order = list(zip(kids, kids[1:]))
+    delta = Fraction(1, 127)
+    assert len(primes) == 30 and denominator_lcm([delta, *widths.values()]) > 2**64
+    assert x_outcome(widths, edges, order, delta, "s") == "ok"
+    left = solve_x(widths, edges, order, delta, "s")
+    for a, b in order:
+        assert left[a] + widths[a] <= left[b]
+    for k in kids:
+        overlap = min(left[k] + widths[k], 2) - max(left[k], 0)
+        assert overlap >= delta

@@ -139,6 +139,7 @@ def test_random_baseline_matches_fraction_reference(sides, seed):
     ref = random_baseline_fraction(graph, boxes, seed)
     assert lay.pos == ref.pos
     assert list(lay.pos) == list(ref.pos)  # same placement order
+    assert dumps_doc(layout_to_doc(lay, graph)) == dumps_doc(layout_to_doc(ref, graph))
 
 
 def test_document_instance_shapes():

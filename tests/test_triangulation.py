@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crown.errors import InvalidInstanceError, TriangulationInfeasibleError
 from crown.geometry import BoxSpec, Layout, contact_pairs, detect_contacts, rat
@@ -20,7 +22,7 @@ from crown.triangulation import (
     validate_instance,
 )
 
-from oracles import rand_guillotine_dual, tri_realizable
+from oracles import rand_guillotine_dual, realize_triangulation_fraction, tri_realizable
 
 
 def inst_of(dims, rotation, outer=("N", "E", "S", "W")):
@@ -191,3 +193,50 @@ def test_realizer_matches_oracle_on_random_duals():
             got = False
         assert got == want
         checked += 1
+
+
+def off_grid_dual(rng):
+    """A random guillotine dual with its boxes scaled by one Fraction and a
+    fifth of the sides stretched or shrunk by up to 3/8."""
+    inst = rand_guillotine_dual(rng, rng.randrange(1, 7), perturb=rng.random() < 0.25)
+    scale = Fraction(rng.randrange(1, 30), rng.choice((1, 2, 3, 4, 5, 6, 7, 64)))
+    boxes = {}
+    for v, b in inst.boxes.items():
+        w, h = b.w * scale, b.h * scale
+        if rng.random() < 0.2:
+            w *= Fraction(rng.randrange(5, 12), 8)
+        if rng.random() < 0.2:
+            h *= Fraction(rng.randrange(5, 12), 8)
+        boxes[v] = BoxSpec(v, w, h)
+    return TriangulationInstance(boxes, inst.rotation, inst.outer)
+
+
+def tri_outcome(seed):
+    """realize_triangulation and its Fraction reference must place every
+    box at the same Fraction corner, or fail with the same stage and
+    witness; returns "ok", the stage, or None for a malformed draw."""
+    inst = off_grid_dual(random.Random(seed))
+    if validate_instance(inst) is not None:
+        return None
+    results = []
+    for realize in (realize_triangulation, realize_triangulation_fraction):
+        try:
+            results.append(("ok", realize(inst).pos))
+        except TriangulationInfeasibleError as err:
+            results.append((err.stage, err.witness))
+    got, want = results
+    assert got == want
+    if got[0] == "ok":
+        assert all(type(c) is Fraction for xy in got[1].values() for c in xy)
+    return got[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_realizer_matches_fraction_reference(seed):
+    tri_outcome(seed)
+
+
+def test_fraction_reference_draws_reach_every_verdict():
+    stages = {tri_outcome(seed) for seed in range(40)} - {None}
+    assert stages == {"ok", "stuck", "not-rectangle", "outer-too-small"}
