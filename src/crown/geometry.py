@@ -190,18 +190,38 @@ def _classify(ax1, ax2, ay1, ay2, bx1, bx2, by1, by2):
     return ("v", ylo, xlo, xlo)
 
 
+def int_extents(layout: Layout) -> Tuple[int, Dict[str, Tuple[int, int, int, int]]]:
+    """``(unit, {id: (x1, x2, y1, y2)})``: every extent of the layout as a
+    whole multiple of ``1/unit``, the :func:`denominator_lcm` of all
+    positions and dimensions."""
+    boxes = layout.boxes
+    unit = denominator_lcm(
+        v for i, (x, y) in layout.pos.items() for v in (x, y, boxes[i].w, boxes[i].h)
+    )
+    exts = {}
+    for i, (x, y) in layout.pos.items():
+        box = boxes[i]
+        x1 = x.numerator * (unit // x.denominator)
+        y1 = y.numerator * (unit // y.denominator)
+        w = box.w.numerator * (unit // box.w.denominator)
+        h = box.h.numerator * (unit // box.h.denominator)
+        exts[i] = (x1, x1 + w, y1, y1 + h)
+    return unit, exts
+
+
 def detect_contacts(layout: Layout) -> List[Contact]:
     """All contacts of the layout, sorted by id pair.
 
     Raises :class:`OverlapError` if any two interiors intersect, so a
-    successful call doubles as an exact no-overlap certificate.
+    successful call doubles as an exact no-overlap certificate.  The sweep
+    compares the integer extents of :func:`int_extents`; only the returned
+    contacts go back to Fractions.
     """
-    ids = sorted(layout.pos)
-    exts = {i: layout.extent(i) for i in ids}
+    unit, exts = int_extents(layout)
     # Sweep by left edge; prune pairs whose x-ranges cannot touch.
-    order = sorted(ids, key=lambda i: (exts[i][0], i))
+    order = sorted(exts, key=lambda i: (exts[i][0], i))
     active: List[str] = []
-    contacts: List[Contact] = []
+    found = []
     for cur in order:
         cx1, cx2, cy1, cy2 = exts[cur]
         keep = []
@@ -215,25 +235,30 @@ def detect_contacts(layout: Layout) -> List[Contact]:
                 continue
             if got == "overlap":
                 raise OverlapError(*sorted((cur, other)))
-            orient, coord, lo, hi = got
-            a, b = sorted((cur, other))
-            contacts.append(Contact(a, b, orient, coord, lo, hi))
+            found.append((*sorted((cur, other)), *got))
         keep.append(cur)
         active = keep
-    contacts.sort(key=lambda c: (c.a, c.b))
-    return contacts
-
-
-def contact_pairs(layout: Layout) -> set:
-    return {(c.a, c.b) for c in detect_contacts(layout)}
+    found.sort()
+    # Contacts share few distinct coordinates (a row's y, a column's x).
+    frac = {v: Fraction(v, unit) for v in {v for t in found for v in t[3:]}}
+    return [
+        Contact(a, b, orient, frac[coord], frac[lo], frac[hi])
+        for a, b, orient, coord, lo, hi in found
+    ]
 
 
 def realized_profit(layout: Layout, graph: ProfitGraph) -> Fraction:
     """Total profit of graph edges whose boxes are placed and touching."""
-    touching = contact_pairs(layout)
+    return contact_profit(detect_contacts(layout), graph)
+
+
+def contact_profit(contacts: Iterable[Contact], graph: ProfitGraph) -> Fraction:
+    """Total profit of the graph edges among ``contacts`` (one per pair,
+    as :func:`detect_contacts` returns them)."""
     total = Fraction(0)
-    for a, b, p in graph.edges():
-        if (a, b) in touching:
+    for c in contacts:
+        p = graph._profit.get((c.a, c.b))
+        if p is not None:
             total += p
     return total
 

@@ -11,20 +11,14 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import FormatError
-from .geometry import (
-    BoxSpec,
-    Layout,
-    ProfitGraph,
-    detect_contacts,
-    realized_profit,
-)
+from .geometry import BoxSpec, Layout, ProfitGraph, contact_profit, detect_contacts
 from .hier import EmbeddedDag
 from .triangulation import TriangulationInstance
 
 
 def frac_str(value: Fraction) -> str:
-    q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    n, d = value.as_integer_ratio()
+    return f"{n}/{d}"
 
 
 def parse_frac(value, where: str) -> Fraction:
@@ -95,11 +89,13 @@ def _box_doc(box: BoxSpec) -> dict:
 
 
 def layout_to_doc(lay: Layout, graph: ProfitGraph) -> dict:
-    """Canonical layout document: boxes sorted by id, contacts recomputed."""
+    """Canonical layout document: boxes sorted by id, contacts recomputed
+    by one sweep, which also gives the realized profit."""
     boxes = []
     for bid in lay.ids():
         x, y = lay.pos[bid]
         boxes.append({**_box_doc(lay.boxes[bid]), "x": frac_str(x), "y": frac_str(y)})
+    found = detect_contacts(lay)
     contacts = [
         {
             "a": c.a,
@@ -107,27 +103,26 @@ def layout_to_doc(lay: Layout, graph: ProfitGraph) -> dict:
             "orientation": c.orientation,
             "degenerate": c.degenerate,
         }
-        for c in detect_contacts(lay)
+        for c in found
     ]
     return {
         "boxes": boxes,
         "contacts": contacts,
-        "realized_profit": frac_str(realized_profit(lay, graph)),
+        "realized_profit": frac_str(contact_profit(found, graph)),
         "total_profit": frac_str(graph.total_profit()),
     }
 
 
 def parse_layout(doc) -> Layout:
-    """Rebuild the Layout; stored contact/profit fields are not trusted."""
-    entries = _require(doc, "boxes", list, "layout")
+    """Rebuild the Layout; stored contact/profit fields are not trusted.
+    Ids, dimensions and duplicates are checked for every box before any
+    position is read."""
+    boxes = _boxes(doc, "layout")
     lay = Layout()
-    for i, entry in enumerate(entries):
+    for i, (spec, entry) in enumerate(zip(boxes.values(), doc["boxes"])):
         where = f"layout.boxes[{i}]"
-        spec = _box_spec(entry, where)
         x = parse_frac(_require(entry, "x", None, where), f"{where}.x")
         y = parse_frac(_require(entry, "y", None, where), f"{where}.y")
-        if spec.id in lay.boxes:
-            raise FormatError(f"{where}: duplicate id {spec.id!r}")
         lay.place(spec, x, y)
     detect_contacts(lay)  # raises OverlapError on an invalid layout
     return lay

@@ -580,8 +580,10 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     that union of blocks alone, rejected without a test when the union
     would exceed 3V-6 edges, and kept without a test when it joins two
     components (a bridge).  The test is the boolean left-right test
-    ``_is_planar`` on the union relabelled to integers.  The result is
-    the same as testing the whole running graph after every edge.
+    ``_is_planar`` on the union relabelled to integers in id order (set
+    order would follow the string hash seed, and with it the test's
+    work).  The result is the same as testing the whole running graph
+    after every edge.
     """
     ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
     kept = ProfitGraph(graph.vertices)
@@ -598,7 +600,7 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
             verts = set().union(*(bverts[blk] for blk in path))
             if len(edges) > 3 * len(verts) - 6:
                 continue
-            idx = {v: i for i, v in enumerate(verts)}
+            idx = {v: i for i, v in enumerate(sorted(verts))}
             if not _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges]):
                 continue
             for blk in path:

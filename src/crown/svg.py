@@ -4,14 +4,16 @@ Model coordinates grow upward, SVG coordinates grow downward, so every y
 is emitted as ``-(y + h)``.  All emitted numbers are first snapped to the
 1/64 grid and then written as exact decimals (1/64 = 0.015625 needs six
 fractional digits at most), which keeps the byte stream independent of
-any floating-point formatting.
+any floating-point formatting.  Box numbers are rounded from integer
+numerator and denominator over the layout's unit
+(:func:`crown.geometry.int_extents`), with no Fraction arithmetic.
 """
 
 import zlib
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .geometry import Layout
+from .geometry import Layout, int_extents
 
 GRID = Fraction(1, 64)
 
@@ -29,19 +31,31 @@ PALETTE = (
 )
 
 
-def snap64(q: Fraction) -> Fraction:
-    return Fraction(round(q / GRID), 1) * GRID
+def _snap(n: int, d: int) -> int:
+    """``round(64 * n / d)`` (``d > 0``, ties to even): ``n / d`` on the
+    1/64 grid, counted in 64ths."""
+    q, r = divmod(64 * n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
 
 
-def dec(q: Fraction) -> str:
-    """Exact decimal for a 1/64-grid rational, no trailing zeros."""
-    q = snap64(q)
-    sign = "-" if q < 0 else ""
-    n = abs(q.numerator) * (1000000 // q.denominator)
-    whole, frac = divmod(n, 1000000)
+def _dec64(m: int) -> str:
+    """Exact decimal of ``m / 64``, no trailing zeros (1/64 = 0.015625)."""
+    whole, frac = divmod(abs(m) * 15625, 1000000)
+    sign = "-" if m < 0 else ""
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
+
+
+def snap64(q: Fraction) -> Fraction:
+    return Fraction(_snap(*q.as_integer_ratio()), 64)
+
+
+def dec(q: Fraction) -> str:
+    """Exact decimal of ``q`` snapped to the 1/64 grid, no trailing zeros."""
+    return _dec64(_snap(*q.as_integer_ratio()))
 
 
 def _escape(text: str) -> str:
@@ -57,7 +71,9 @@ def fill_color(box_id: str) -> str:
 
 def render_svg(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
     labels = labels or {}
-    x1, x2, y1, y2 = lay.bbox()
+    unit, exts = int_extents(lay)
+    cols = list(zip(*exts.values())) or [(0,)] * 4  # an empty layout's box is all 0
+    x1, x2, y1, y2 = (Fraction(f(c), unit) for f, c in zip((min, max, min, max), cols))
     w = x2 - x1
     h = y2 - y1
     mx = max(w * Fraction(5, 100), GRID)
@@ -66,29 +82,31 @@ def render_svg(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
     vb_y = snap64(-(y2 + my))
     vb_w = snap64(w + 2 * mx)
     vb_h = snap64(h + 2 * my)
-    stroke = max(snap64(min(vb_w, vb_h) / 200), GRID)
+    stroke = dec(max(snap64(min(vb_w, vb_h) / 200), GRID))
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{dec(vb_x)} {dec(vb_y)} {dec(vb_w)} {dec(vb_h)}" '
         'font-family="sans-serif">'
     ]
-    for bid in lay.ids():
-        b = lay.boxes[bid]
-        x, y = lay.pos[bid]
+    ids = sorted(exts)
+    # Box numbers below are integer extents over ``unit``; centres are over
+    # ``2 * unit`` and the font size, 7/10 of the height, over ``10 * unit``.
+    for bid in ids:
+        bx1, bx2, by1, by2 = exts[bid]
         parts.append(
-            f'  <rect x="{dec(x)}" y="{dec(-(y + b.h))}" '
-            f'width="{dec(b.w)}" height="{dec(b.h)}" '
+            f'  <rect x="{_dec64(_snap(bx1, unit))}" y="{_dec64(_snap(-by2, unit))}" '
+            f'width="{_dec64(_snap(bx2 - bx1, unit))}" height="{_dec64(_snap(by2 - by1, unit))}" '
             f'fill="{fill_color(bid)}" fill-opacity="0.85" '
-            f'stroke="#333333" stroke-width="{dec(stroke)}"/>'
+            f'stroke="#333333" stroke-width="{stroke}"/>'
         )
-    for bid in lay.ids():
-        b = lay.boxes[bid]
-        x, y = lay.pos[bid]
+    for bid in ids:
+        bx1, bx2, by1, by2 = exts[bid]
         label = labels.get(bid, bid)
-        font = max(snap64(b.h * Fraction(7, 10)), GRID)
+        font = max(_snap(7 * (by2 - by1), 10 * unit), 1)
         parts.append(
-            f'  <text x="{dec(x + b.w / 2)}" y="{dec(-(y + b.h / 2))}" '
-            f'font-size="{dec(font)}" text-anchor="middle" '
+            f'  <text x="{_dec64(_snap(bx1 + bx2, 2 * unit))}" '
+            f'y="{_dec64(_snap(-(by1 + by2), 2 * unit))}" '
+            f'font-size="{_dec64(font)}" text-anchor="middle" '
             f'dominant-baseline="central" fill="#1a1a1a">'
             f"{_escape(label)}</text>"
         )

@@ -23,14 +23,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from crown.errors import DuplicateIdError, InvalidInstanceError
-from crown.geometry import (
-    BoxSpec,
-    Layout,
-    ProfitGraph,
-    contact_pairs,
-    detect_contacts,
-    rat,
-)
+from crown.geometry import BoxSpec, Layout, ProfitGraph, detect_contacts, rat
+
+
+def contact_pairs(layout: Layout) -> set:
+    """The id pairs ``(a, b)``, ``a < b``, of the layout's contacts."""
+    return {(c.a, c.b) for c in detect_contacts(layout)}
 
 
 def realizes(layout: Layout, graph: ProfitGraph) -> bool:

@@ -21,14 +21,16 @@ from crown.cycles import CycleCover
 from crown.errors import (
     HierInfeasibleError,
     InvalidInstanceError,
+    OverlapError,
     ParameterError,
     TooLargeError,
     TriangulationInfeasibleError,
 )
 from crown.gap import GapAssignment, GapInstance
-from crown.geometry import BoxSpec, Layout, ProfitGraph, rat
+from crown.geometry import BoxSpec, Contact, Layout, ProfitGraph, _classify, rat
 from crown.hier import EmbeddedDag, _pred_cycle
 from crown.stars import StarInstance
+from crown.svg import GRID, _escape, fill_color
 from crown.triangulation import (
     TriangulationInstance,
     _concavities,
@@ -500,6 +502,94 @@ def realize_triangulation_fraction(inst: TriangulationInstance) -> Layout:
     return lay
 
 
+def detect_contacts_fraction(layout: Layout) -> List[Contact]:
+    """``geometry.detect_contacts`` with the sweep on Fraction extents."""
+    ids = sorted(layout.pos)
+    exts = {i: layout.extent(i) for i in ids}
+    order = sorted(ids, key=lambda i: (exts[i][0], i))
+    active: List[str] = []
+    contacts: List[Contact] = []
+    for cur in order:
+        cx1, cx2, cy1, cy2 = exts[cur]
+        keep = []
+        for other in active:
+            ox1, ox2, oy1, oy2 = exts[other]
+            if ox2 < cx1:
+                continue
+            keep.append(other)
+            got = _classify(ox1, ox2, oy1, oy2, cx1, cx2, cy1, cy2)
+            if got is None:
+                continue
+            if got == "overlap":
+                raise OverlapError(*sorted((cur, other)))
+            orient, coord, lo, hi = got
+            a, b = sorted((cur, other))
+            contacts.append(Contact(a, b, orient, coord, lo, hi))
+        keep.append(cur)
+        active = keep
+    contacts.sort(key=lambda c: (c.a, c.b))
+    return contacts
+
+
+def snap64_fraction(q: Fraction) -> Fraction:
+    """``svg.snap64`` by Fraction division and ``round``."""
+    return Fraction(round(q / GRID), 1) * GRID
+
+
+def dec_fraction(q: Fraction) -> str:
+    """``svg.dec`` on Fractions."""
+    q = snap64_fraction(q)
+    sign = "-" if q < 0 else ""
+    n = abs(q.numerator) * (1000000 // q.denominator)
+    whole, frac = divmod(n, 1000000)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{frac:06d}".rstrip("0")
+
+
+def render_svg_fraction(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
+    """``svg.render_svg`` with every number computed on Fractions."""
+    labels = labels or {}
+    x1, x2, y1, y2 = lay.bbox()
+    w = x2 - x1
+    h = y2 - y1
+    mx = max(w * Fraction(5, 100), GRID)
+    my = max(h * Fraction(5, 100), GRID)
+    vb_x = snap64_fraction(x1 - mx)
+    vb_y = snap64_fraction(-(y2 + my))
+    vb_w = snap64_fraction(w + 2 * mx)
+    vb_h = snap64_fraction(h + 2 * my)
+    stroke = max(snap64_fraction(min(vb_w, vb_h) / 200), GRID)
+    dec = dec_fraction
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{dec(vb_x)} {dec(vb_y)} {dec(vb_w)} {dec(vb_h)}" '
+        'font-family="sans-serif">'
+    ]
+    for bid in lay.ids():
+        b = lay.boxes[bid]
+        x, y = lay.pos[bid]
+        parts.append(
+            f'  <rect x="{dec(x)}" y="{dec(-(y + b.h))}" '
+            f'width="{dec(b.w)}" height="{dec(b.h)}" '
+            f'fill="{fill_color(bid)}" fill-opacity="0.85" '
+            f'stroke="#333333" stroke-width="{dec(stroke)}"/>'
+        )
+    for bid in lay.ids():
+        b = lay.boxes[bid]
+        x, y = lay.pos[bid]
+        label = labels.get(bid, bid)
+        font = max(snap64_fraction(b.h * Fraction(7, 10)), GRID)
+        parts.append(
+            f'  <text x="{dec(x + b.w / 2)}" y="{dec(-(y + b.h / 2))}" '
+            f'font-size="{dec(font)}" text-anchor="middle" '
+            f'dominant-baseline="central" fill="#1a1a1a">'
+            f"{_escape(label)}</text>"
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # shared integer placement machinery
 
@@ -826,6 +916,55 @@ def rand_int_boxes(rng: random.Random, ids: Sequence[str], hi: int = 3) -> Dict[
     return {
         i: BoxSpec(i, rng.randrange(1, hi + 1), rng.randrange(1, hi + 1)) for i in ids
     }
+
+
+COPRIME_DENS = (1, 2, 3, 5, 7, 11, 13)
+
+
+def rand_layout(
+    rng: random.Random, n: int, overlaps: bool = True, scale: Fraction = Fraction(1)
+) -> Layout:
+    """n boxes seated one by one, each against an earlier one: on a side
+    at a random offset, corner to corner (NE on SW, or NW on SE), or, now
+    and then, anywhere.  Every number draws its own denominator from
+    COPRIME_DENS, the first box sits at negative coordinates, and the
+    whole layout is multiplied by ``scale``.  With ``overlaps`` false a
+    seat that overlaps an earlier box is redrawn (up to 20 times, then
+    the box is left out)."""
+
+    def frac(lo: int, hi: int) -> Fraction:
+        d = rng.choice(COPRIME_DENS)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    seats: List[Tuple[str, Fraction, Fraction, Fraction, Fraction]] = []
+    for i in range(n):
+        w, h = frac(1, 4), frac(1, 4)
+        for _ in range(20):
+            if not seats:
+                x, y = frac(-6, -1), frac(-6, -1)
+            else:
+                _, px, py, pw, ph = rng.choice(seats)
+                x, y = {
+                    "E": lambda: (px + pw, py + frac(-3, 3)),
+                    "W": lambda: (px - w, py + frac(-3, 3)),
+                    "N": lambda: (px + frac(-3, 3), py + ph),
+                    "S": lambda: (px + frac(-3, 3), py - h),
+                    "NE": lambda: (px + pw, py + ph),
+                    "SW": lambda: (px - w, py - h),
+                    "NW": lambda: (px - w, py + ph),
+                    "SE": lambda: (px + pw, py - h),
+                    "any": lambda: (frac(-6, 6), frac(-6, 6)),
+                }[rng.choice(("E", "W", "N", "S", "NE", "SW", "NW", "SE", "any"))]()
+            if overlaps or all(
+                x >= qx + qw or qx >= x + w or y >= qy + qh or qy >= y + h
+                for _, qx, qy, qw, qh in seats
+            ):
+                seats.append((f"b{i}", x, y, w, h))
+                break
+    lay = Layout()
+    for bid, x, y, w, h in seats:
+        lay.place(BoxSpec(bid, w * scale, h * scale), x * scale, y * scale)
+    return lay
 
 
 def rand_degree_graph(rng: random.Random, n: int, dmax: int) -> ProfitGraph:

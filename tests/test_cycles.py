@@ -15,15 +15,9 @@ from crown.cycles import (
     max_crown_cycles,
 )
 from crown.errors import CycleTooShortError
-from crown.geometry import (
-    BoxSpec,
-    ProfitGraph,
-    contact_pairs,
-    detect_contacts,
-    rat,
-    realized_profit,
-)
+from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, rat, realized_profit
 
+from fixtures_extremal import contact_pairs
 from oracles import decompose_cycle_covers_tuple, rand_clustered_graph, rand_degree_graph
 
 

@@ -6,6 +6,7 @@ orientation, point contacts, overlap rejection, and the pack helper.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from crown.geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
-    contact_pairs,
     denominator_lcm,
     detect_contacts,
     pack_components,
@@ -25,6 +25,9 @@ from crown.geometry import (
     realized_profit,
     singleton_layout,
 )
+
+from fixtures_extremal import contact_pairs
+from oracles import COPRIME_DENS, detect_contacts_fraction, rand_layout
 
 
 def box(i, w, h):
@@ -192,3 +195,32 @@ def test_pack_components_never_creates_cross_contacts(n1, n2):
     packed = pack_components([first, second])
     for a, b in contact_pairs(packed):
         assert a[0] == b[0], f"cross-component contact {a}-{b}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_integer_sweep_matches_the_fraction_sweep(seed):
+    # Seats on sides and corners (NE/SW and NW/SE point contacts), negative
+    # coordinates, pairwise-coprime denominators and, in most draws,
+    # overlaps: the same Contacts, or OverlapError on the same pair.
+    rng = random.Random(seed)
+    lay = rand_layout(rng, rng.randrange(10), overlaps=rng.random() < 0.7,
+                      scale=Fraction(rng.choice((1, 1000)), rng.choice(COPRIME_DENS)))
+    try:
+        want = detect_contacts_fraction(lay)
+    except OverlapError as exc:
+        with pytest.raises(OverlapError) as got:
+            detect_contacts(lay)
+        assert (got.value.a, got.value.b) == (exc.a, exc.b)
+        return
+    assert detect_contacts(lay) == want
+    graph = ProfitGraph(lay.pos)
+    ids = sorted(lay.pos)
+    for a in ids:
+        for b in ids:
+            if a < b and rng.random() < 0.5:
+                graph.add_edge(a, b, Fraction(rng.randrange(5), rng.choice(COPRIME_DENS)))
+    touching = {(c.a, c.b) for c in want}
+    assert realized_profit(lay, graph) == sum(
+        (p for a, b, p in graph.edges() if (a, b) in touching), Fraction(0)
+    )

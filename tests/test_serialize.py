@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from crown import geometry, serialize
 from crown.errors import FormatError
-from crown.geometry import BoxSpec, Layout, ProfitGraph, rat
+from crown.geometry import BoxSpec, Layout, ProfitGraph, rat, realized_profit
 from crown.hier import EmbeddedDag
 from crown.serialize import (
     dag_to_doc,
@@ -63,6 +64,26 @@ def test_layout_round_trip_byte_identical():
     assert text.endswith("\n")
 
 
+def test_layout_to_doc_sweeps_once(monkeypatch):
+    # The contact list gives the realized profit too: one sweep per document.
+    sweeps = []
+    sweep = geometry.detect_contacts
+
+    def counted(lay):
+        sweeps.append(lay)
+        return sweep(lay)
+
+    monkeypatch.setattr(geometry, "detect_contacts", counted)
+    monkeypatch.setattr(serialize, "detect_contacts", counted)
+    lay = sample_layout()
+    lay.place(BoxSpec("c", rat(1), rat(1)), rat(3), rat(0))  # touches b, no edge
+    graph = ProfitGraph(["a", "b", "c"], {("a", "b"): Fraction(5, 3), ("a", "c"): 2})
+    doc = layout_to_doc(lay, graph)
+    assert len(sweeps) == 1
+    assert [(c["a"], c["b"]) for c in doc["contacts"]] == [("a", "b"), ("b", "c")]
+    assert doc["realized_profit"] == frac_str(realized_profit(lay, graph)) == "5/3"
+
+
 def test_instance_round_trip():
     boxes = [BoxSpec("a", rat(2), rat(1)), BoxSpec("b", rat(1), rat(4))]
     doc = instance_to_doc(boxes, sample_graph())
@@ -112,3 +133,17 @@ def test_parse_layout_requires_boxes_field():
     assert parse_layout({"boxes": []}).pos == {}  # empty layout is fine
     with pytest.raises(FormatError):
         parse_layout({"not": "a layout"})
+
+
+def test_parse_layout_reports_the_duplicate_before_a_bad_position():
+    # Box entry 1 repeats id "a" and has a bad x: the whole boxes list is
+    # read (ids, dimensions, duplicates) before any position.
+    doc = {
+        "boxes": [
+            {"id": "a", "w": "1", "h": "1", "x": "0", "y": "0"},
+            {"id": "a", "w": "1", "h": "1", "x": "bad", "y": "0"},
+        ]
+    }
+    with pytest.raises(FormatError) as err:
+        parse_layout(doc)
+    assert str(err.value) == "layout.boxes[1]: duplicate id 'a'"

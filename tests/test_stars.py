@@ -1,14 +1,19 @@
 """Star packing, star-forest partitions, and the planar pipeline."""
 
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crown
 from crown.errors import NotATreeError, NotPlanarError, TooLargeError
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.stars import (
@@ -416,3 +421,38 @@ def test_max_crown_stars_respects_graph(seed):
     detect_contacts(lay)  # no overlaps
     assert set(lay.pos) == set(ids)
     assert realized_profit(lay, g) > 0
+
+
+def test_planarity_tests_do_not_follow_the_hash_seed():
+    # Each union of blocks is numbered in id order, so the graphs handed to
+    # _is_planar, and with them the stage's work, are the same in every
+    # process whatever PYTHONHASHSEED is.
+    code = (
+        "import json, random\n"
+        "from crown import stars\n"
+        "from crown.geometry import ProfitGraph\n"
+        "rng = random.Random(3)\n"
+        "ids = [f'v{i:02d}' for i in range(30)]\n"
+        "g = ProfitGraph(ids)\n"
+        "for i, a in enumerate(ids):\n"
+        "    for b in ids[:i]:\n"
+        "        if rng.random() < 0.4:\n"
+        "            g.add_edge(a, b, rng.randint(1, 5))\n"
+        "calls, test = [], stars._is_planar\n"
+        "stars._is_planar = lambda n, edges: calls.append([n, edges]) or test(n, edges)\n"
+        "stars.maximal_planar_subgraph(g)\n"
+        "print(json.dumps(calls))\n"
+    )
+    src = str(Path(crown.__file__).resolve().parent.parent)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert len(json.loads(runs[0])) > 10
+    assert runs[0] == runs[1]

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crown.errors import InvalidInstanceError, TriangulationInfeasibleError
-from crown.geometry import BoxSpec, Layout, contact_pairs, detect_contacts, rat
+from crown.geometry import BoxSpec, Layout, detect_contacts, rat
 from crown.triangulation import (
     TriangulationInstance,
     realize_triangulation,
     validate_instance,
 )
 
+from fixtures_extremal import contact_pairs
 from oracles import rand_guillotine_dual, realize_triangulation_fraction, tri_realizable
 
 
