@@ -15,9 +15,10 @@ from .errors import ParameterError, TooLargeError
 from .geometry import denominator_lcm, rat
 
 # Largest scaled value total the knapsack DP may index: it allocates two
-# lists of that many cells (top is about n^2 / eps).  At the limit one
-# call takes a fraction of a second for a few items and about two seconds
-# for 100; the benchmark workloads and the test suite stay below 3,000.
+# lists of that many cells (top is about n^2 / eps).  At the limit, with
+# every item fitting, one call took under 0.1 s for a few unit items and
+# about 2 s for 100 (2-core x86 VM, CPython 3.11); the benchmark workloads
+# stay below 3,000.
 MAX_KNAPSACK_TOP = 1 << 20
 
 
@@ -69,22 +70,27 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
 
     Standard value-scaling dynamic program: values are floored to multiples
     of K = eps * v_max / n and the DP minimizes size per scaled value.
-    Ties break toward smaller total size, then the lexicographically
+    A state that cannot take an item within the capacity is never
+    extended with it, so every stored state fits.  Among the states that
+    fit, ties break toward smaller total size, then the lexicographically
     smallest index tuple, so callers that pass items in id order get
-    id-lexicographic determinism for free.  Raises TooLargeError when
-    the scaled values sum to more than MAX_KNAPSACK_TOP, before the table
-    is allocated.
+    id-lexicographic determinism for free.  Raises ParameterError for a
+    negative size, value or capacity, and TooLargeError when the scaled
+    values sum to more than MAX_KNAPSACK_TOP, before the table is
+    allocated.
     """
     capacity = rat(capacity)
     eps = check_eps(eps)
     if capacity < 0:
         raise ParameterError("capacity must be non-negative")
 
-    usable = [
-        (idx, rat(s), rat(v))
-        for idx, (s, v) in enumerate(items)
-        if rat(s) <= capacity
-    ]
+    usable = []
+    for idx, (s, v) in enumerate(items):
+        s, v = rat(s), rat(v)
+        if s.numerator < 0 or v.numerator < 0:  # signs without Fraction comparisons
+            raise ParameterError(f"item {idx}: sizes and values must be non-negative")
+        if s <= capacity:
+            usable.append((idx, s, v))
     if not usable:
         return ()
     v_max = max(v for _, _, v in usable)
@@ -92,11 +98,16 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
         return ()
     n = len(usable)
 
-    # Integer sizes: clear denominators once per call.
+    # Integer sizes over one unit, and each value floored to a multiple of
+    # K: v / K = v * n * eps.den * v_max.den / (eps.num * v_max.num).
     den = denominator_lcm([capacity, *(s for _, s, _ in usable)])
-    cap_i = int(capacity * den)
-    scale = n / (eps * v_max)  # 1/K
-    scaled = [(idx, int(s * den), int(v * scale)) for idx, s, v in usable]
+    cap_i = capacity.numerator * (den // capacity.denominator)
+    mul = n * eps.denominator * v_max.denominator
+    div = eps.numerator * v_max.numerator
+    scaled = [
+        (idx, s.numerator * (den // s.denominator), v.numerator * mul // (v.denominator * div))
+        for idx, s, v in usable
+    ]
 
     top = sum(sv for _, _, sv in scaled)
     if top > MAX_KNAPSACK_TOP:
@@ -108,13 +119,17 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
     best_set: List = [None] * (top + 1)
     best_size[0] = 0
     best_set[0] = ()
-    reach = 0
+    reach = 0  # largest value of a stored state
     for idx, size_i, val_i in scaled:
+        if val_i == 0:
+            continue  # it only adds size to a state of the same value
+        room = cap_i - size_i
         for sv in range(reach, -1, -1):
-            if best_size[sv] is None:
+            size = best_size[sv]
+            if size is None or size > room:
                 continue
             nv = sv + val_i
-            ns = best_size[sv] + size_i
+            ns = size + size_i
             cur = best_size[nv]
             if cur is not None and ns > cur:
                 continue
@@ -122,10 +137,11 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
             if cur is None or ns < cur or cand < best_set[nv]:
                 best_size[nv] = ns
                 best_set[nv] = cand
-        reach = min(top, reach + val_i)
+                if nv > reach:  # the range above was built from the old reach
+                    reach = nv
 
-    for sv in range(top, 0, -1):
-        if best_size[sv] is not None and best_size[sv] <= cap_i:
+    for sv in range(reach, 0, -1):
+        if best_size[sv] is not None:
             return best_set[sv]
     return ()
 
@@ -145,15 +161,14 @@ def gap_sequential(inst: GapInstance, eps) -> GapAssignment:
     n = len(inst.items)
     where: List[int] = [-1] * n
     for b, cap in enumerate(inst.capacities):
-        earned = [
-            inst.items[i].values[where[i]] if where[i] >= 0 else Fraction(0)
-            for i in range(n)
-        ]
-        pool_ids = [i for i in range(n) if inst.items[i].values[b] > earned[i]]
-        pool = [
-            (inst.items[i].sizes[b], inst.items[i].values[b] - earned[i])
-            for i in pool_ids
-        ]
+        pool_ids, pool = [], []
+        for i, item in enumerate(inst.items):
+            gain = item.values[b]
+            if where[i] >= 0:
+                gain -= item.values[where[i]]
+            if gain.numerator > 0:  # the sign without a Fraction comparison
+                pool_ids.append(i)
+                pool.append((item.sizes[b], gain))
         for j in knapsack_fptas(pool, cap, eps):
             where[pool_ids[j]] = b
     by_bin = tuple(

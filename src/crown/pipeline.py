@@ -133,16 +133,18 @@ def top_stems(stats: WordStats, k: int) -> List[str]:
     return sorted(stats.freq, key=lambda s: (-stats.freq[s], s))[:k]
 
 
-def _cosine_grid(t: int, a: int, b: int) -> Fraction:
-    """floor(t / sqrt(a*b) * 2**20) / 2**20, exactly."""
-    return Fraction(isqrt((t << 20) ** 2 // (a * b)), COS_GRID)
+def _cosine_steps(t: int, a: int, b: int) -> int:
+    """floor(t / sqrt(a*b) * 2**20), exactly: the cosine in 2**-20 steps."""
+    return isqrt((t << 20) ** 2 // (a * b))
 
 
 def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
     """Profit graph over the top-k stems by frequency.
 
     Profits are exact cosine similarities of binary sentence-incidence
-    vectors; zero-similarity pairs carry no edge.
+    vectors; zero-similarity pairs carry no edge.  Edges of equal profit
+    share one Fraction: on the 2**-20 grid a large graph has few distinct
+    profits.
     """
     if k < 2:
         raise InvalidInstanceError(f"need k >= 2, got {k}")
@@ -154,14 +156,17 @@ def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
         for s in stems
     }
     graph = ProfitGraph(vertices=stems)
+    profits: Dict[int, Fraction] = {}  # by steps on the grid
     for i, a in enumerate(stems):
         for b in stems[i + 1 :]:
             t = len(incidence[a] & incidence[b])
             if t == 0:
                 continue
-            p = _cosine_grid(t, len(incidence[a]), len(incidence[b]))
-            if p > 0:
-                graph.add_edge(a, b, p)
+            steps = _cosine_steps(t, len(incidence[a]), len(incidence[b]))
+            if steps > 0:
+                if steps not in profits:
+                    profits[steps] = Fraction(steps, COS_GRID)
+                graph.add_edge(a, b, profits[steps])
     return graph
 
 

@@ -26,8 +26,16 @@ from crown.errors import (
     TooLargeError,
     TriangulationInfeasibleError,
 )
-from crown.gap import GapAssignment, GapInstance
-from crown.geometry import BoxSpec, Contact, Layout, ProfitGraph, _classify, rat
+from crown.gap import MAX_KNAPSACK_TOP, GapAssignment, GapInstance, check_eps
+from crown.geometry import (
+    BoxSpec,
+    Contact,
+    Layout,
+    ProfitGraph,
+    _classify,
+    denominator_lcm,
+    rat,
+)
 from crown.hier import EmbeddedDag, _pred_cycle
 from crown.stars import StarInstance
 from crown.svg import GRID, _escape, fill_color
@@ -259,6 +267,95 @@ def maximal_planar_subgraph_brute(graph: ProfitGraph) -> ProfitGraph:
 
 # ---------------------------------------------------------------------------
 # reference implementations of the library's integer hot loops
+
+
+def knapsack_fptas_unpruned(
+    items: Sequence[Tuple[Fraction, Fraction]], capacity, eps
+) -> Tuple[int, ...]:
+    """``gap.knapsack_fptas`` extending every reachable state, including
+    those that no longer fit, with values scaled by ``Fraction`` products."""
+    capacity = rat(capacity)
+    eps = check_eps(eps)
+    if capacity < 0:
+        raise ParameterError("capacity must be non-negative")
+
+    usable = [
+        (idx, rat(s), rat(v))
+        for idx, (s, v) in enumerate(items)
+        if rat(s) <= capacity
+    ]
+    if not usable:
+        return ()
+    v_max = max(v for _, _, v in usable)
+    if v_max == 0:
+        return ()
+    n = len(usable)
+
+    # Integer sizes: clear denominators once per call.
+    den = denominator_lcm([capacity, *(s for _, s, _ in usable)])
+    cap_i = int(capacity * den)
+    scale = n / (eps * v_max)  # 1/K
+    scaled = [(idx, int(s * den), int(v * scale)) for idx, s, v in usable]
+
+    top = sum(sv for _, _, sv in scaled)
+    if top > MAX_KNAPSACK_TOP:
+        raise TooLargeError(
+            f"knapsack table of {top} scaled values exceeds {MAX_KNAPSACK_TOP}"
+            f" (n={n}, eps={eps})"
+        )
+    best_size: List = [None] * (top + 1)
+    best_set: List = [None] * (top + 1)
+    best_size[0] = 0
+    best_set[0] = ()
+    reach = 0
+    for idx, size_i, val_i in scaled:
+        for sv in range(reach, -1, -1):
+            if best_size[sv] is None:
+                continue
+            nv = sv + val_i
+            ns = best_size[sv] + size_i
+            cur = best_size[nv]
+            if cur is not None and ns > cur:
+                continue
+            cand = best_set[sv] + (idx,)
+            if cur is None or ns < cur or cand < best_set[nv]:
+                best_size[nv] = ns
+                best_set[nv] = cand
+        reach = min(top, reach + val_i)
+
+    for sv in range(top, 0, -1):
+        if best_size[sv] is not None and best_size[sv] <= cap_i:
+            return best_set[sv]
+    return ()
+
+
+def gap_sequential_unpruned(inst: GapInstance, eps) -> GapAssignment:
+    """``gap.gap_sequential`` over ``knapsack_fptas_unpruned``, with each
+    bin's pool built from a separate list of earned values."""
+    n = len(inst.items)
+    where: List[int] = [-1] * n
+    for b, cap in enumerate(inst.capacities):
+        earned = [
+            inst.items[i].values[where[i]] if where[i] >= 0 else Fraction(0)
+            for i in range(n)
+        ]
+        pool_ids = [i for i in range(n) if inst.items[i].values[b] > earned[i]]
+        pool = [
+            (inst.items[i].sizes[b], inst.items[i].values[b] - earned[i])
+            for i in pool_ids
+        ]
+        for j in knapsack_fptas_unpruned(pool, cap, eps):
+            where[pool_ids[j]] = b
+    by_bin = tuple(
+        tuple(inst.items[i].id for i in range(n) if where[i] == b)
+        for b in range(len(inst.capacities))
+    )
+    unassigned = tuple(inst.items[i].id for i in range(n) if where[i] < 0)
+    value = sum(
+        (inst.items[i].values[where[i]] for i in range(n) if where[i] >= 0),
+        Fraction(0),
+    )
+    return GapAssignment(by_bin, unassigned, value)
 
 
 def random_baseline_fraction(

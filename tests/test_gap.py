@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import TooLargeError
+from crown.errors import ParameterError, TooLargeError
 from crown.gap import (
     MAX_KNAPSACK_TOP,
     GapInstance,
@@ -15,7 +15,13 @@ from crown.gap import (
     knapsack_fptas,
 )
 
-from oracles import gap_brute, gap_exact, knapsack_brute
+from oracles import (
+    gap_brute,
+    gap_exact,
+    gap_sequential_unpruned,
+    knapsack_brute,
+    knapsack_fptas_unpruned,
+)
 
 EPS = Fraction(1, 10)
 
@@ -44,6 +50,19 @@ def test_knapsack_table_is_guarded():
     with pytest.raises(TooLargeError):
         knapsack_fptas(items, 3, Fraction(6, per_item + 1))
     assert len(knapsack_fptas(items, 3, Fraction(6, per_item))) == 3
+
+
+@pytest.mark.parametrize(
+    "items, capacity",
+    [
+        ([(1, -3), (1, 5)], 2),  # took the item worth -3
+        ([(-2, 1), (3, 5)], 1),  # took only the first item
+        ([(1, -30), (1, 1), (1, 1)], 3),  # raised a bare IndexError
+    ],
+)
+def test_knapsack_rejects_negative_sizes_and_values(items, capacity):
+    with pytest.raises(ParameterError):
+        knapsack_fptas(items, capacity, Fraction(1, 4))
 
 
 def test_gap_two_bin_example():
@@ -83,15 +102,18 @@ def test_gap_exact_matches_brute_force_example():
 
 
 fracs = st.integers(min_value=1, max_value=9).map(Fraction)
+# Non-negative rationals with zero and the denominators of box sizes.
+rationals = st.builds(
+    Fraction, st.integers(min_value=0, max_value=40), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 64))
+)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.tuples(fracs, fracs), min_size=1, max_size=9),
-    st.integers(min_value=1, max_value=15),
+    st.lists(st.tuples(rationals, rationals), min_size=1, max_size=9),
+    rationals,
 )
-def test_knapsack_fptas_guarantee(items, cap):
-    capacity = Fraction(cap)
+def test_knapsack_fptas_guarantee(items, capacity):
     chosen = knapsack_fptas(items, capacity, EPS)
     got = sum((items[i][1] for i in chosen), Fraction(0))
     assert sum((items[i][0] for i in chosen), Fraction(0)) <= capacity
@@ -130,3 +152,62 @@ def test_gap_sequential_guarantee(inst):
 @given(gap_instances())
 def test_gap_exact_is_exact(inst):
     assert gap_exact(inst).value == gap_brute(inst)
+
+
+# Differential tests against the knapsack that extends every state and
+# scales values with Fraction products (tests/oracles.py).
+
+eps_values = st.sampled_from(
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(3, 7), Fraction(1, 64),
+     Fraction(1, 10**6), Fraction(0), Fraction(1))
+)
+
+
+def outcome(solve, *args):
+    """The solver's result, or the type of the CrownError it raised."""
+    try:
+        return solve(*args)
+    except (ParameterError, TooLargeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def knapsack_cases(draw):
+    items = draw(st.lists(st.tuples(rationals, rationals), max_size=8))
+    if items and draw(st.booleans()):
+        items += [items[0]] * draw(st.integers(min_value=1, max_value=3))  # ties
+    k = draw(st.integers(min_value=0, max_value=len(items)))
+    tight = sum((s for s, _ in items[:k]), Fraction(0))
+    capacity = draw(st.sampled_from((tight, Fraction(0), Fraction(-1))) | rationals)
+    return items, capacity, draw(eps_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knapsack_cases())
+def test_knapsack_fptas_matches_unpruned(case):
+    items, capacity, eps = case
+    assert outcome(knapsack_fptas, items, capacity, eps) == outcome(
+        knapsack_fptas_unpruned, items, capacity, eps
+    )
+
+
+@st.composite
+def gap_cases(draw):
+    bins = draw(st.integers(min_value=1, max_value=4))
+    caps = tuple(draw(rationals) for _ in range(bins))
+    items = []
+    for k in range(draw(st.integers(min_value=0, max_value=7))):
+        sizes = tuple(draw(rationals) for _ in range(bins))
+        if draw(st.booleans()):
+            values = (draw(rationals),) * bins  # as solve_star builds them
+        else:
+            values = tuple(draw(rationals) for _ in range(bins))
+        items.append(GapItem(f"i{k}", sizes, values))
+    return GapInstance(caps, items), draw(eps_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_cases())
+def test_gap_sequential_matches_unpruned(case):
+    inst, eps = case
+    assert outcome(gap_sequential, inst, eps) == outcome(gap_sequential_unpruned, inst, eps)

@@ -1,5 +1,6 @@
 """Text-to-instance pipeline: stemming, sizing, similarity, baseline."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,30 @@ def test_cosine_of_half_overlap():
     text = "quartz feldspar. feldspar mica. quartz mica."
     g = similarity_profits(preprocess(text), k=3)
     assert g.profit("quartz", "feldspar") == Fraction(1, 2)
+
+
+def test_similarity_profits_are_cosines_and_share_equal_values():
+    text = (Path(__file__).resolve().parent.parent / "corpus" / "tides.txt").read_text()
+    stats = preprocess(text)
+    stems = top_stems(stats, 100)
+    g = similarity_profits(stats, k=100)
+    sentences = {
+        s: {i for i, sent in enumerate(stats.sentences) if s in sent} for s in stems
+    }
+    expected = {}
+    for i, a in enumerate(stems):
+        for b in stems[i + 1 :]:
+            t, ab = len(sentences[a] & sentences[b]), len(sentences[a]) * len(sentences[b])
+            # m / 2**20 is t / sqrt(ab) floored to the grid
+            m = math.isqrt((t * t << 40) // ab)
+            assert m * m * ab <= t * t << 40 < (m + 1) ** 2 * ab
+            if m:
+                expected[tuple(sorted((a, b)))] = Fraction(m, 2**20)
+    assert {(a, b): p for a, b, p in g.edges()} == expected
+    shared = {}
+    for _, _, p in g.edges():
+        assert shared.setdefault(p, p) is p
+    assert len(shared) < len(expected)
 
 
 def test_box_dimensions_aspect_example():
