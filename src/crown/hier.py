@@ -172,7 +172,10 @@ def sweep_order(
     is replaced, in list order, by its not-yet-alive predecessors in
     embedding order.  After each event the consecutive pairs of the new
     list are emitted (first occurrence only) as (a, b) meaning
-    r_a <= l_b.
+    r_a <= l_b, then the consecutive pairs of each ended box's
+    predecessors that the list did not hold: a predecessor shared with a
+    box to the left must come first, and when it does not, the two pairs
+    contradict and solve_x reports the cycle.
     """
     sink = dag.sink()
     lst = [sink]
@@ -184,16 +187,19 @@ def sweep_order(
         if not ending:
             continue
         nxt: List[str] = []
+        pred_pairs: List[Tuple[str, str]] = []
         for v in lst:
             if y[v][1] != level:
                 nxt.append(v)
                 continue
-            for u in dag.predecessors(v):
+            preds = dag.predecessors(v)
+            pred_pairs.extend(zip(preds, preds[1:]))
+            for u in preds:
                 if u not in entered:
                     entered.add(u)
                     nxt.append(u)
         lst = nxt
-        for a, b in zip(lst, lst[1:]):
+        for a, b in [*zip(lst, lst[1:]), *pred_pairs]:
             if (a, b) not in seen:
                 seen.add((a, b))
                 constraints.append((a, b))

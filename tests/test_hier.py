@@ -199,6 +199,7 @@ def closed_walk_weights(witness, widths, delta):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 @example(9).via("a seed whose verdict is solve_x")
+@example(65002).via("a predecessor shared with the left box comes last in embedding order")
 def test_solve_hier_matches_grid_oracle(seed):
     rng = random.Random(seed)
     dag, boxes = rand_embedded_dag(rng, rng.randrange(2, 6))
