@@ -13,7 +13,14 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import CycleTooShortError
-from .geometry import BoxSpec, Layout, ProfitGraph, pack_components, singleton_layout
+from .geometry import (
+    BoxSpec,
+    Layout,
+    ProfitGraph,
+    pack_components,
+    require_boxes,
+    singleton_layout,
+)
 
 Edge = Tuple[str, str]
 
@@ -83,20 +90,33 @@ class CycleCover:
 
 # Multigraph scaffolding for the decomposition.  Node copy * n + i is the
 # given copy (0 or 1) of the i-th vertex in sorted order, so integer nodes
-# sort exactly as (copy, vertex) pairs would; edges are ids into parallel
-# arrays so parallel edges stay distinct.
+# sort exactly as (copy, vertex) pairs would.  Edges come in groups of
+# interchangeable parallel copies with a count: every real edge (and its
+# mirror in the second copy) is a group of one, and the 2k - deg(v)
+# padding edges between the copies of v are one group.  Each node's
+# neighbors are distinct, so an adjacency list sorted by neighbor lists
+# one group per neighbor.
 
 
-def _euler_orient(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
-    """Orient every edge of ``adj`` along an Euler circuit of its component.
+def _euler_orient(adj, count: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """Orient every edge copy of ``adj`` along an Euler circuit of its component.
 
-    All degrees are even.  Circuits start at the smallest node of each
-    component and always leave over the smallest (neighbor, edge id)
-    still unused, so the orientation is deterministic.  Returns the
-    sorted (head, edge id) out-list of every node: a node's out-edges are
-    taken in its adjacency order, so they come out sorted.
+    ``adj[v]`` lists (neighbor, group) sorted by neighbor and ``count[g]``
+    is the number of copies in group g; all degrees are even.  Circuits
+    start at the smallest node of each component and always leave over
+    the smallest neighbor with an unused copy, so the orientation is
+    deterministic.  Returns the (head, group) out-list of every node,
+    sorted by head, with one entry per group that has a copy oriented
+    out of the node: a node's out-copies are taken in its adjacency order.
+
+    The padding group of v joins v to n + v, the largest neighbor of v
+    and the smallest of n + v.  So the walk takes it from v only once v's
+    real edges are used up, and then goes back and forth between v and
+    n + v until the group is used up: ceil(c/2) copies leave v and
+    floor(c/2) leave n + v.  That run is taken in one step.
     """
-    used = bytearray(n_edges)
+    n = len(adj) // 2
+    left = list(count)
     ptr = [0] * len(adj)
     out_edges: List[List[Tuple[int, int]]] = [[] for _ in adj]
     for start in range(len(adj)):
@@ -106,15 +126,33 @@ def _euler_orient(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
             # Extend the trail from v until it gets stuck, then back up.
             while True:
                 lst, i = adj[v], ptr[v]
-                while i < len(lst) and used[lst[i][1]]:
+                end = len(lst)
+                while i < end and not left[lst[i][1]]:
                     i += 1
-                if i == len(lst):
-                    ptr[v] = i
+                ptr[v] = i
+                if i == end:
                     break
-                ptr[v] = i + 1
-                u, eid = lst[i]
-                used[eid] = 1
-                out_edges[v].append(lst[i])
+                u, g = lst[i]
+                c = left[g]
+                if u == v + n:
+                    # The padding run v, n + v, v, ... in one step.  It
+                    # leaves v with no copy, so of the entries a walk
+                    # copy by copy would stack, only the topmost n + v
+                    # can still lead on.
+                    left[g] = 0
+                    out_edges[v].append(lst[i])
+                    if c > 1 and not out_edges[u]:
+                        out_edges[u].append((v, g))
+                    stack.append(u)
+                    if c % 2 == 0:
+                        stack.append(v)  # stuck at v: nothing left there
+                        break
+                    v = u
+                    continue
+                left[g] = c - 1
+                out = out_edges[v]
+                if not out or out[-1][1] != g:  # padding n + v -> v may repeat
+                    out.append(lst[i])
                 stack.append(u)
                 v = u
             stack.pop()
@@ -122,27 +160,29 @@ def _euler_orient(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
 
 
 def _perfect_matching(out_edges) -> List[int]:
-    """Perfect matching in a regular bipartite graph by augmenting paths.
+    """Perfect matching in a regular bipartite multigraph by augmenting paths.
 
-    ``out_edges[tail]`` lists (head, edge id) sorted; tails and heads are
-    both the nodes 0..len(out_edges)-1.  Regularity guarantees the
-    matching saturates every tail.  Each path is searched depth first,
-    heads in out-list order, on an explicit stack so that long paths
-    cannot exhaust the interpreter's recursion limit.
+    ``out_edges[tail]`` lists (head, group) sorted by head; tails
+    and heads are both the nodes 0..len(out_edges)-1.  Regularity
+    guarantees the matching saturates every tail.  Each path is searched
+    depth first, heads in out-list order, on an explicit stack so that
+    long paths cannot exhaust the interpreter's recursion limit.  Returns
+    the group of every matched pair, one entry per head: a group appears
+    once per direction the matching uses it.
     """
     size = len(out_edges)
     tail_of = [-1] * size  # head -> matched tail
     head_of = [-1] * size  # tail -> matched head
-    eid_of = [0] * size  # head -> matched edge id
+    group_of = [0] * size  # head -> matched group
     seen = [-1] * size  # head -> last root whose search reached it
     via = [0] * size  # head -> the tail it was reached from, ...
-    via_eid = [0] * size  # ... over this edge
+    via_group = [0] * size  # ... over this group
 
     for root in range(size):
         stack = [iter(out_edges[root])]  # out-list iterators along the path
         tail = root
         while True:
-            for head, eid in stack[-1]:
+            for head, g in stack[-1]:
                 if seen[head] != root:
                     break
             else:
@@ -154,7 +194,7 @@ def _perfect_matching(out_edges) -> List[int]:
                 continue
             seen[head] = root
             via[head] = tail
-            via_eid[head] = eid
+            via_group[head] = g
             tail = tail_of[head]
             if tail < 0:
                 break
@@ -165,21 +205,24 @@ def _perfect_matching(out_edges) -> List[int]:
             prev = head_of[tail]
             tail_of[head] = tail
             head_of[tail] = head
-            eid_of[head] = via_eid[head]
+            group_of[head] = via_group[head]
             head = prev
-    return sorted(eid_of)
+    return group_of
 
 
 def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
     """Split the edges into k = ceil(max_degree/2) degree-<=2 covers.
 
     The graph is padded to a 2k-regular multigraph: two copies of it,
-    plus 2k - deg(v) parallel edges between the copies of each vertex v.
-    A 2k-regular multigraph decomposes into k spanning 2-factors; each is
-    extracted by orienting an Euler circuit (in-degree = out-degree) and
-    taking a perfect matching of the resulting regular bipartite
-    out/in incidence graph.  Restricting each factor to the first copy's
-    real edges yields the covers; every edge lands in exactly one.
+    plus 2k - deg(v) parallel padding edges between the copies of each
+    vertex v, kept as one group with a count.  A 2k-regular
+    multigraph decomposes into k spanning 2-factors; each is extracted by
+    orienting an Euler circuit (in-degree = out-degree) and taking a
+    perfect matching of the resulting regular bipartite out/in incidence
+    graph, and a group loses one copy per matched pair it carries.
+    Restricting each factor to the first copy's real edges yields the
+    covers; every edge lands in exactly one.  A round costs O(n + E),
+    whatever the padding.
     """
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:
@@ -190,37 +233,33 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
     order = sorted(graph.vertices)
     n = len(order)
     rank = {v: i for i, v in enumerate(order)}
-    tails: List[int] = []
-    heads: List[int] = []
-    tag: List[Edge] = []
-
-    def add(u, v, real):
-        tails.append(u)
-        heads.append(v)
-        tag.append(real)
-
-    for a, b in real_edges:
-        add(rank[a], rank[b], (a, b))
-        add(n + rank[a], n + rank[b], None)
-    for i, v in enumerate(order):
-        for _ in range(2 * k - deg[v]):
-            add(i, n + i, None)
-
+    count: List[int] = []
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for eid in range(len(tails)):
-        adj[tails[eid]].append((heads[eid], eid))
-        adj[heads[eid]].append((tails[eid], eid))
+
+    def add(u, v, c):
+        adj[u].append((v, len(count)))
+        adj[v].append((u, len(count)))
+        count.append(c)
+
+    # Groups 0..m-1 are the first copy's real edges, in real_edges order.
+    for a, b in real_edges:
+        add(rank[a], rank[b], 1)
+    for a, b in real_edges:
+        add(n + rank[a], n + rank[b], 1)
+    for i, v in enumerate(order):
+        if deg[v] < 2 * k:
+            add(i, n + i, 2 * k - deg[v])
     for lst in adj:
         lst.sort()
 
+    m = len(real_edges)
     covers: List[Tuple[Edge, ...]] = []
     for _ in range(k):
-        factor = _perfect_matching(_euler_orient(adj, len(tails)))
-        gone = bytearray(len(tails))
-        for eid in factor:
-            gone[eid] = 1
-        adj = [[e for e in lst if not gone[e[1]]] for lst in adj]
-        cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
+        factor = _perfect_matching(_euler_orient(adj, count))
+        for g in factor:
+            count[g] -= 1
+        adj = [[e for e in lst if count[e[1]]] for lst in adj]
+        cover = sorted(real_edges[g] for g in factor if g < m)
         if cover:
             covers.append(tuple(cover))
     assert not any(adj)
@@ -270,8 +309,10 @@ def max_crown_cycles(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout
 
     Realizes at least total_profit / ceil(max_degree / 2): the best of k
     covers carries at least 1/k of the profit, and every cover edge is
-    realized by the cycle/path layouts.
+    realized by the cycle/path layouts.  Raises ParameterError when a
+    graph vertex has no box.
     """
+    require_boxes(graph, boxes)
     decomposition = decompose_cycle_covers(graph)
     components: List[Layout] = []
     covered: set = set()

@@ -125,6 +125,14 @@ class ProfitGraph:
         return max(self.degrees().values(), default=0)
 
 
+def require_boxes(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> None:
+    """ParameterError naming the first graph vertex, in sorted order,
+    that has no box."""
+    missing = [v for v in graph.vertices if v not in boxes]
+    if missing:
+        raise ParameterError(f"graph vertex {min(missing)!r} has no box")
+
+
 @dataclass
 class Layout:
     """Placed boxes: ``pos[id]`` is the lower-left corner of ``boxes[id]``."""

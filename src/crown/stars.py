@@ -28,6 +28,7 @@ from .geometry import (
     pack_components,
     rat,
     realized_profit,
+    require_boxes,
     singleton_layout,
 )
 
@@ -318,9 +319,11 @@ def max_crown_stars(
     star solver keeps its GAP share of that.  Raises ParameterError for
     eps outside (0, 1) or a negative ``corner_candidates``, and
     TooLargeError for a star whose corner pool is too large (see
-    solve_star).
+    solve_star).  Raises ParameterError, too, when a graph vertex has
+    no box.
     """
     _check_star_params(eps, corner_candidates)
+    require_boxes(graph, boxes)
     forests = partition_planar(graph)
     if not forests:
         return pack_components([singleton_layout(boxes[v]) for v in sorted(boxes)])
@@ -334,12 +337,12 @@ def max_crown_stars(
     return best_lay
 
 
-def _block_path(vblocks, bverts, a: str, b: str) -> Optional[List[int]]:
+def _block_path(vblocks, bverts, a: int, b: int) -> Optional[List[int]]:
     """Blocks on the block-cut-forest path from a to b; None when b is in
     another component.  The path is unique, so breadth-first search finds
     it; only cut vertices (in two or more blocks) lead on to new blocks."""
-    via: Dict[int, str] = {}  # block -> the vertex it was entered from
-    prev: Dict[str, Optional[int]] = {a: None}  # vertex -> block it was reached through
+    via: Dict[int, int] = {}  # block -> the vertex it was entered from
+    prev: Dict[int, Optional[int]] = {a: None}  # vertex -> block it was reached through
     queue = deque([a])
     while queue:
         v = queue.popleft()
@@ -578,23 +581,27 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     that union of blocks alone, rejected without a test when the union
     would exceed 3V-6 edges, and kept without a test when it joins two
     components (a bridge).  The test is the boolean left-right test
-    ``_is_planar`` on the union relabelled to integers in id order (set
-    order would follow the string hash seed, and with it the test's
-    work).  The result is the same as testing the whole running graph
-    after every edge.
+    ``_is_planar`` on the union relabelled to 0..V-1 in id order.  The
+    bookkeeping runs on vertex numbers given once in id order, so sorting
+    numbers sorts ids, and no set order (nor the test's work) follows
+    the string hash seed.  The result is the same as testing the whole
+    running graph after every edge.
     """
+    names = sorted(graph.vertices)
+    num = {v: i for i, v in enumerate(names)}
     ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
     kept = ProfitGraph(graph.vertices)
-    bedges: Dict[int, List[Tuple[str, str]]] = {}  # block -> its edges
+    bedges: Dict[int, List[Tuple[int, int]]] = {}  # block -> its edges
     bverts: Dict[int, set] = {}  # block -> its vertices
-    vblocks: Dict[str, set] = {v: set() for v in graph.vertices}  # vertex -> its blocks
+    vblocks: List[set] = [set() for _ in names]  # vertex -> its blocks
     for new, (a, b, p) in enumerate(ranked):
-        path = _block_path(vblocks, bverts, a, b)
+        ia, ib = num[a], num[b]
+        path = _block_path(vblocks, bverts, ia, ib)
         if path is None:
-            edges, verts = [(a, b)], {a, b}
+            edges, verts = [(ia, ib)], {ia, ib}
         else:
             edges = [e for blk in path for e in bedges[blk]]
-            edges.append((a, b))
+            edges.append((ia, ib))
             verts = set().union(*(bverts[blk] for blk in path))
             if len(edges) > 3 * len(verts) - 6:
                 continue

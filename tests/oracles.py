@@ -394,6 +394,138 @@ def random_baseline_fraction(
     return lay
 
 
+def _euler_orient_per_edge(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
+    """Orient every edge of ``adj`` along an Euler circuit of its component.
+
+    All degrees are even.  Circuits start at the smallest node of each
+    component and always leave over the smallest (neighbor, edge id)
+    still unused, so the orientation is deterministic.  Returns the
+    sorted (head, edge id) out-list of every node: a node's out-edges are
+    taken in its adjacency order, so they come out sorted.
+    """
+    used = bytearray(n_edges)
+    ptr = [0] * len(adj)
+    out_edges: List[List[Tuple[int, int]]] = [[] for _ in adj]
+    for start in range(len(adj)):
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            # Extend the trail from v until it gets stuck, then back up.
+            while True:
+                lst, i = adj[v], ptr[v]
+                while i < len(lst) and used[lst[i][1]]:
+                    i += 1
+                if i == len(lst):
+                    ptr[v] = i
+                    break
+                ptr[v] = i + 1
+                u, eid = lst[i]
+                used[eid] = 1
+                out_edges[v].append(lst[i])
+                stack.append(u)
+                v = u
+            stack.pop()
+    return out_edges
+
+
+def _perfect_matching_per_edge(out_edges) -> List[int]:
+    """Perfect matching in a regular bipartite graph by augmenting paths.
+
+    ``out_edges[tail]`` lists (head, edge id) sorted; tails and heads are
+    both the nodes 0..len(out_edges)-1.  Regularity guarantees the
+    matching saturates every tail.  Each path is searched depth first,
+    heads in out-list order, on an explicit stack so that long paths
+    cannot exhaust the interpreter's recursion limit.
+    """
+    size = len(out_edges)
+    tail_of = [-1] * size  # head -> matched tail
+    head_of = [-1] * size  # tail -> matched head
+    eid_of = [0] * size  # head -> matched edge id
+    seen = [-1] * size  # head -> last root whose search reached it
+    via = [0] * size  # head -> the tail it was reached from, ...
+    via_eid = [0] * size  # ... over this edge
+
+    for root in range(size):
+        stack = [iter(out_edges[root])]  # out-list iterators along the path
+        tail = root
+        while True:
+            for head, eid in stack[-1]:
+                if seen[head] != root:
+                    break
+            else:
+                # A dead end: back up to the tail whose head led here.
+                stack.pop()
+                if not stack:
+                    raise AssertionError("regular bipartite graph must have a perfect matching")
+                tail = via[head_of[tail]]
+                continue
+            seen[head] = root
+            via[head] = tail
+            via_eid[head] = eid
+            tail = tail_of[head]
+            if tail < 0:
+                break
+            stack.append(iter(out_edges[tail]))
+        # Augment: every tail on the path takes the head it reached.
+        while head >= 0:
+            tail = via[head]
+            prev = head_of[tail]
+            tail_of[head] = tail
+            head_of[tail] = head
+            eid_of[head] = via_eid[head]
+            head = prev
+    return sorted(eid_of)
+
+
+def decompose_cycle_covers_per_edge(graph: ProfitGraph) -> CycleCover:
+    """``cycles.decompose_cycle_covers`` with every padding edge its own
+    edge id in parallel arrays, so a round walks all 2k - deg(v) copies."""
+    real_edges = [(a, b) for a, b, _ in graph.edges()]
+    if not real_edges:
+        return CycleCover(())
+    deg = graph.degrees()
+    k = -(-max(deg.values()) // 2)
+
+    order = sorted(graph.vertices)
+    n = len(order)
+    rank = {v: i for i, v in enumerate(order)}
+    tails: List[int] = []
+    heads: List[int] = []
+    tag: List[Optional[Tuple[str, str]]] = []
+
+    def add(u, v, real):
+        tails.append(u)
+        heads.append(v)
+        tag.append(real)
+
+    for a, b in real_edges:
+        add(rank[a], rank[b], (a, b))
+        add(n + rank[a], n + rank[b], None)
+    for i, v in enumerate(order):
+        for _ in range(2 * k - deg[v]):
+            add(i, n + i, None)
+
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for eid in range(len(tails)):
+        adj[tails[eid]].append((heads[eid], eid))
+        adj[heads[eid]].append((tails[eid], eid))
+    for lst in adj:
+        lst.sort()
+
+    covers = []
+    for _ in range(k):
+        factor = _perfect_matching_per_edge(_euler_orient_per_edge(adj, len(tails)))
+        gone = bytearray(len(tails))
+        for eid in factor:
+            gone[eid] = 1
+        adj = [[e for e in lst if not gone[e[1]]] for lst in adj]
+        cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
+        if cover:
+            covers.append(tuple(cover))
+    assert not any(adj)
+    return CycleCover(tuple(covers))
+
+
 def _euler_orient_tuple(nodes, adj):
     used = set()
     ptr = {v: 0 for v in nodes}
@@ -1093,6 +1225,43 @@ def rand_clustered_graph(rng: random.Random, n_max: int) -> ProfitGraph:
     for a, b in combinations(ids, 2):
         if group[a] == group[b] != -1 and rng.random() < density:
             g.add_edge(a, b, rng.randrange(4))
+    return g
+
+
+def rand_hub_graph(rng: random.Random, hub_degrees: Sequence[int]) -> ProfitGraph:
+    """Hubs of exactly the given degrees over a sparse rest, the regime
+    where padding is most of the cycle-cover multigraph.
+
+    Each hub joins a random sample of the rest (and, now and then, the
+    other hub); the rest is two random partial matchings.  A path or
+    cycle of 3-6 vertices is a component of its own, and 1-3 vertices are
+    isolated.  Other degrees stay at most 4, so an even hub degree is 2k
+    and leaves that hub an empty padding group.  Names are shuffled, so
+    hubs land anywhere in the sorted vertex order.
+    """
+    n_rest = max(hub_degrees) + rng.randrange(0, 20)
+    n_far = rng.randrange(3, 7)
+    names = [f"v{i:03d}" for i in range(len(hub_degrees) + n_rest + n_far + rng.randrange(1, 4))]
+    rng.shuffle(names)
+    hubs = names[: len(hub_degrees)]
+    rest = names[len(hubs) : len(hubs) + n_rest]
+    far = names[len(hubs) + n_rest : len(hubs) + n_rest + n_far]
+    g = ProfitGraph(names)
+    for _ in range(2):  # two random partial matchings: rest degrees <= 2
+        order = rng.sample(rest, len(rest))
+        for u, v in zip(order[::2], order[1::2]):
+            if rng.random() < 0.6:
+                g.add_edge(u, v, rng.randrange(1, 4))
+    for u, v in zip(far, far[1:]):
+        g.add_edge(u, v, rng.randrange(1, 4))
+    if rng.random() < 0.5:
+        g.add_edge(far[0], far[-1], 1)
+    joined = len(hubs) == 2 and rng.random() < 0.5
+    if joined:
+        g.add_edge(hubs[0], hubs[1], 2)
+    for hub, d in zip(hubs, hub_degrees):
+        for v in rng.sample(rest, d - joined):
+            g.add_edge(hub, v, rng.randrange(1, 4))
     return g
 
 

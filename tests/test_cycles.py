@@ -3,9 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown.cycles import (
@@ -14,11 +15,20 @@ from crown.cycles import (
     layout_path,
     max_crown_cycles,
 )
-from crown.errors import CycleTooShortError
+from crown.errors import CycleTooShortError, ParameterError
 from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, rat, realized_profit
+from crown.pipeline import document_instance, load_corpus
 
 from fixtures_extremal import contact_pairs
-from oracles import decompose_cycle_covers_tuple, rand_clustered_graph, rand_degree_graph
+from oracles import (
+    decompose_cycle_covers_per_edge,
+    decompose_cycle_covers_tuple,
+    rand_clustered_graph,
+    rand_degree_graph,
+    rand_hub_graph,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def boxes_of(dims):
@@ -132,6 +142,16 @@ def test_max_crown_cycles_triangle_full():
     assert realized_profit(lay, g) == 3
 
 
+def test_max_crown_cycles_names_the_first_vertex_without_box():
+    g = ProfitGraph("abc", {("a", "b"): 1, ("b", "c"): 1})
+    with pytest.raises(ParameterError, match="'c'"):
+        max_crown_cycles(g, unit_boxes(["a", "b"]))
+    with pytest.raises(ParameterError, match="'a'"):
+        max_crown_cycles(g, unit_boxes(["b"]))
+    with pytest.raises(ParameterError, match="'b'"):
+        max_crown_cycles(ProfitGraph("ba"), unit_boxes(["a"]))  # no edges
+
+
 def test_max_crown_cycles_k4():
     g = complete(["a", "b", "c", "d"])
     lay = max_crown_cycles(g, unit_boxes(["a", "b", "c", "d"]))
@@ -174,3 +194,54 @@ def test_decompose_bound_matches_max_degree(seed):
 def test_decompose_matches_tuple_reference(seed):
     g = rand_clustered_graph(random.Random(seed), 16)
     assert decompose_cycle_covers(g) == decompose_cycle_covers_tuple(g)
+
+
+def padding_counts(g):
+    k = math.ceil(g.max_degree() / 2)
+    return [2 * k - d for d in g.degrees().values()]
+
+
+def components(g):
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b, _ in g.edges():
+        parent[find(a)] = find(b)
+    return len({find(v) for v in g.vertices})
+
+
+def test_hub_graphs_reach_the_padding_regime():
+    for seed in range(20):
+        for hubs in ([10 + seed], [11 + seed, 15], [40, 40 - seed % 2]):
+            g = rand_hub_graph(random.Random(seed), hubs)
+            pads = padding_counts(g)
+            assert g.max_degree() == max(hubs)
+            assert (0 in pads) == (max(hubs) % 2 == 0)
+            assert any(p % 2 for p in pads)
+            assert any(p and p % 2 == 0 for p in pads)
+            assert 0 in g.degrees().values()  # isolated vertices
+            assert components(g) >= 3
+            assert sum(pads) > 2 * len(g.edges())  # padding is most copies
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(10, 40), min_size=1, max_size=2), st.integers(0, 10**6))
+@example([12], 0)
+@example([40, 39], 1)
+@example([13, 10], 2)
+def test_decompose_matches_per_edge_on_hub_graphs(hub_degrees, seed):
+    g = rand_hub_graph(random.Random(seed), hub_degrees)
+    assert decompose_cycle_covers(g) == decompose_cycle_covers_per_edge(g)
+
+
+def test_decompose_matches_per_edge_on_the_corpus():
+    docs = load_corpus(CORPUS)
+    assert len(docs) == 13
+    for k in (50, 100):
+        for doc_id, text in docs:
+            _, g, _ = document_instance(text, k)
+            assert decompose_cycle_covers(g) == decompose_cycle_covers_per_edge(g), (doc_id, k)

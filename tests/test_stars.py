@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crown
-from crown.errors import NotATreeError, NotPlanarError, TooLargeError
+from crown.errors import NotATreeError, NotPlanarError, ParameterError, TooLargeError
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.stars import (
     MAX_CORNER_POOL,
@@ -200,6 +200,16 @@ def test_max_crown_stars_path():
     g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
     lay = max_crown_stars(g, unit_boxes("abc"), EPS)
     assert realized_profit(lay, g) >= 1
+
+
+def test_max_crown_stars_names_the_first_vertex_without_box():
+    g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
+    with pytest.raises(ParameterError, match="'c'"):
+        max_crown_stars(g, unit_boxes("ab"), "1/2")
+    with pytest.raises(ParameterError, match="'a'"):
+        max_crown_stars(g, unit_boxes("b"), "1/2")
+    with pytest.raises(ParameterError, match="'b'"):
+        max_crown_stars(ProfitGraph("ba"), unit_boxes("a"), "1/2")  # no edges
 
 
 def test_max_crown_stars_k4_bound():
