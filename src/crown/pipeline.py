@@ -23,7 +23,7 @@ from random import Random
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidInstanceError
-from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm
+from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm, require_boxes
 
 GRID = Fraction(1, 64)
 COS_GRID = 1 << 20
@@ -218,8 +218,10 @@ def random_baseline(
     boxes off the 1/64 grid.  Only the spiral itself is float: its
     centers are the float expression round(r * cos * 64) / 64 that has
     always defined this baseline's output, and an exact spiral would
-    place the boxes elsewhere.
+    place the boxes elsewhere.  Raises ParameterError when a graph vertex
+    has no box.
     """
+    require_boxes(graph, boxes)
     rng = Random(seed)
     order = sorted(boxes.values(), key=lambda b: (-(b.w * b.h), b.id))
     lay = Layout()

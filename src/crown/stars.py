@@ -10,7 +10,11 @@ most 6, and the best per-forest layout is kept.
 Only ``partition_planar`` uses networkx, for the planar embedding and
 the canonical ordering, and imports it inside, so importing this module
 does not load it.  ``maximal_planar_subgraph`` tests planarity with its
-own boolean left-right test, ``_is_planar``.
+own boolean left-right test, ``_is_planar``, one block at a time: each
+block on the path an edge would close gets one virtual edge between the
+cut vertices of the path, pairs found non-planar once are remembered
+and fail later paths untested, and the pair's neighbourhood is tested
+before the whole block.
 """
 
 import itertools
@@ -288,10 +292,18 @@ def solve_star_forest(
     eps,
     corner_candidates: Optional[int] = None,
 ) -> Layout:
-    """solve_star per star, side by side; boxes in no star ride along."""
+    """solve_star per star, side by side; boxes in no star ride along.
+
+    Raises ParameterError when a graph vertex has no box or a star edge
+    is not in the graph.
+    """
+    require_boxes(graph, boxes)
     components: List[Layout] = []
     used = set()
     for star in forest.stars:
+        for leaf in star.leaves:
+            if not graph.has_edge(star.center, leaf):
+                raise ParameterError(f"star edge {star.center!r}-{leaf!r} is not in the graph")
         used.add(star.center)
         used.update(star.leaves)
         inst = StarInstance(
@@ -570,6 +582,61 @@ def _is_planar(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
     return True
 
 
+def _planar_on(verts, edges: Sequence[Tuple[int, int]]) -> bool:
+    """Whether ``edges`` on the vertex numbers ``verts`` form a planar
+    graph: False past 3V-6 edges, else ``_is_planar`` on the graph
+    relabelled to 0..V-1 in number order."""
+    if len(edges) > 3 * len(verts) - 6:
+        return False
+    idx = {v: i for i, v in enumerate(sorted(verts))}
+    return _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges])
+
+
+def _path_stays_planar(path, a: int, b: int, bedges, bverts, adj, forbidden) -> bool:
+    """Whether the kept graph stays planar with (a, b) added, where
+    ``path`` holds the blocks B1..Bk from b to a.
+
+    With the cut vertices c0 = b, c1, .., ck = a between them, that holds
+    exactly when every Bi plus the virtual edge (c(i-1), ci) is planar:
+    each is a minor of the union plus (a, b), and their embeddings glue
+    back along the virtual edges, which can be drawn on the outer face.
+    A pair already kept adds nothing.  A pair once found non-planar stays
+    so, because the kept graph only grows: it goes into ``forbidden`` and
+    fails later paths with no test.  Every block is held to 3V-6 before
+    any test runs.  Then the blocks are tested smallest first; when the
+    closed neighbourhoods of the pair cover less than the block, the
+    block's subgraph induced on them, plus the pair, is tested first: it
+    is a subgraph of the block plus the pair.
+    """
+    tests = []
+    x = b
+    for i, blk in enumerate(path):
+        if i + 1 < len(path):
+            (y,) = bverts[blk] & bverts[path[i + 1]]
+        else:
+            y = a
+        if y not in adj[x]:
+            pair = (x, y) if x < y else (y, x)
+            if pair in forbidden or len(bedges[blk]) + 1 > 3 * len(bverts[blk]) - 6:
+                forbidden.add(pair)
+                return False
+            tests.append((len(bedges[blk]), blk, pair))
+        x = y
+    for _, blk, (x, y) in sorted(tests):
+        verts = bverts[blk]
+        near = ({x, y} | adj[x] | adj[y]) & verts
+        if len(near) < len(verts):
+            edges = [(u, w) for u in sorted(near) for w in sorted(adj[u] & near) if u < w]
+            edges.append((x, y))
+            if not _planar_on(near, edges):
+                forbidden.add((x, y))
+                return False
+        if not _planar_on(verts, bedges[blk] + [(x, y)]):
+            forbidden.add((x, y))
+            return False
+    return True
+
+
 def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     """Greedy maximal planar subgraph, richest edges first.
 
@@ -577,15 +644,18 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     the running graph stays planar, so planar inputs come back whole.
     A graph is planar exactly when each of its blocks (biconnected
     components) is, and adding (a, b) merges only the blocks on the
-    block-cut-forest path from a to b.  So each edge is tested against
-    that union of blocks alone, rejected without a test when the union
-    would exceed 3V-6 edges, and kept without a test when it joins two
-    components (a bridge).  The test is the boolean left-right test
-    ``_is_planar`` on the union relabelled to 0..V-1 in id order.  The
-    bookkeeping runs on vertex numbers given once in id order, so sorting
-    numbers sorts ids, and no set order (nor the test's work) follows
-    the string hash seed.  The result is the same as testing the whole
-    running graph after every edge.
+    block-cut-forest path from a to b.  An edge that joins two components
+    (a bridge) is kept without a test.  Otherwise each block on the path
+    is tested alone with one virtual edge between the cut vertices where
+    the path enters and leaves it (see ``_path_stays_planar``): pairs
+    already rejected fail at once, a block past 3V-6 fails without a
+    test, and a small neighbourhood of the pair is tried before the whole
+    block.  The test is the boolean left-right test ``_is_planar`` on the
+    graph relabelled to 0..V-1 in id order.  The bookkeeping runs on
+    vertex numbers given once in id order, so sorting numbers sorts ids,
+    and no set order (nor the test's work) follows the string hash seed.
+    The result is the same as testing the whole running graph after
+    every edge.
     """
     names = sorted(graph.vertices)
     num = {v: i for i, v in enumerate(names)}
@@ -594,20 +664,19 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     bedges: Dict[int, List[Tuple[int, int]]] = {}  # block -> its edges
     bverts: Dict[int, set] = {}  # block -> its vertices
     vblocks: List[set] = [set() for _ in names]  # vertex -> its blocks
+    adj: List[set] = [set() for _ in names]  # vertex -> its kept neighbours
+    forbidden: set = set()  # pairs (x, y), x < y, that no longer fit
     for new, (a, b, p) in enumerate(ranked):
         ia, ib = num[a], num[b]
         path = _block_path(vblocks, bverts, ia, ib)
         if path is None:
             edges, verts = [(ia, ib)], {ia, ib}
         else:
+            if not _path_stays_planar(path, ia, ib, bedges, bverts, adj, forbidden):
+                continue
             edges = [e for blk in path for e in bedges[blk]]
             edges.append((ia, ib))
             verts = set().union(*(bverts[blk] for blk in path))
-            if len(edges) > 3 * len(verts) - 6:
-                continue
-            idx = {v: i for i, v in enumerate(sorted(verts))}
-            if not _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges]):
-                continue
             for blk in path:
                 del bedges[blk], bverts[blk]
             for v in verts:
@@ -615,5 +684,7 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
         bedges[new], bverts[new] = edges, verts
         for v in verts:
             vblocks[v].add(new)
+        adj[ia].add(ib)
+        adj[ib].add(ia)
         kept.add_edge(a, b, p)
     return kept

@@ -37,7 +37,7 @@ from crown.geometry import (
     rat,
 )
 from crown.hier import EmbeddedDag, _pred_cycle
-from crown.stars import StarInstance
+from crown.stars import StarInstance, _block_path, _is_planar
 from crown.svg import GRID, _escape, fill_color
 from crown.triangulation import (
     TriangulationInstance,
@@ -267,6 +267,42 @@ def maximal_planar_subgraph_brute(graph: ProfitGraph) -> ProfitGraph:
 
 # ---------------------------------------------------------------------------
 # reference implementations of the library's integer hot loops
+
+
+def maximal_planar_subgraph_union(graph: ProfitGraph) -> ProfitGraph:
+    """``stars.maximal_planar_subgraph`` with one left-right test per edge
+    on the whole union of the blocks on the a-b path (after the 3V-6
+    bound on that union), relabelled to 0..V-1 in id order."""
+    names = sorted(graph.vertices)
+    num = {v: i for i, v in enumerate(names)}
+    ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
+    kept = ProfitGraph(graph.vertices)
+    bedges: Dict[int, List[Tuple[int, int]]] = {}  # block -> its edges
+    bverts: Dict[int, set] = {}  # block -> its vertices
+    vblocks: List[set] = [set() for _ in names]  # vertex -> its blocks
+    for new, (a, b, p) in enumerate(ranked):
+        ia, ib = num[a], num[b]
+        path = _block_path(vblocks, bverts, ia, ib)
+        if path is None:
+            edges, verts = [(ia, ib)], {ia, ib}
+        else:
+            edges = [e for blk in path for e in bedges[blk]]
+            edges.append((ia, ib))
+            verts = set().union(*(bverts[blk] for blk in path))
+            if len(edges) > 3 * len(verts) - 6:
+                continue
+            idx = {v: i for i, v in enumerate(sorted(verts))}
+            if not _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges]):
+                continue
+            for blk in path:
+                del bedges[blk], bverts[blk]
+            for v in verts:
+                vblocks[v].difference_update(path)
+        bedges[new], bverts[new] = edges, verts
+        for v in verts:
+            vblocks[v].add(new)
+        kept.add_edge(a, b, p)
+    return kept
 
 
 def knapsack_fptas_unpruned(
@@ -1262,6 +1298,71 @@ def rand_hub_graph(rng: random.Random, hub_degrees: Sequence[int]) -> ProfitGrap
     for hub, d in zip(hubs, hub_degrees):
         for v in rng.sample(rest, d - joined):
             g.add_edge(hub, v, rng.randrange(1, 4))
+    return g
+
+
+def _small_block(rng: random.Random) -> Tuple[int, List[Tuple[int, int]]]:
+    """A K5, K3,3, wheel of 4-6 spokes or triangle on 0..n-1, as (n, edges)."""
+    kind = rng.choice(("k5", "k33", "wheel", "triangle"))
+    if kind == "k5":
+        return 5, list(combinations(range(5), 2))
+    if kind == "k33":
+        return 6, [(a, b) for a in range(3) for b in range(3, 6)]
+    if kind == "wheel":
+        rim = rng.randrange(4, 7)
+        return rim + 1, [(0, i) for i in range(1, rim + 1)] + [
+            (i, i % rim + 1) for i in range(1, rim + 1)
+        ]
+    return 3, [(0, 1), (1, 2), (0, 2)]
+
+
+def rand_block_graph(rng: random.Random) -> ProfitGraph:
+    """2-6 small dense blocks (see ``_small_block``) glued at cut vertices
+    into a chain or a tree, plus 1-8 cross edges between random vertices.
+
+    A chain glues each block to a vertex of the one before, a tree to any
+    earlier vertex.  Cross edges then span several blocks, so the greedy
+    meets block paths of three or more blocks, pairs that keep failing,
+    and rejects decided next to the pair.  Profits are 0..2 (many ties)
+    or all distinct, and cross edges come last half the time, once the
+    blocks have formed.  Names are shuffled, so the id order does not
+    follow the construction.
+    """
+    edges: List[Tuple[int, int]] = []
+    n = 0
+    chain = rng.random() < 0.5
+    prev: List[int] = []
+    for _ in range(rng.randrange(2, 7)):
+        size, block = _small_block(rng)
+        if n:
+            glue = rng.choice(prev if chain else range(n))
+            label = [glue] + list(range(n, n + size - 1))
+            n += size - 1
+        else:
+            label = list(range(size))
+            n = size
+        perm = label[:]
+        rng.shuffle(perm)
+        edges.extend((perm[a], perm[b]) for a, b in block)
+        prev = label
+    have = {frozenset(e) for e in edges}
+    cross = []
+    for _ in range(rng.randrange(1, 9)):
+        a, b = rng.sample(range(n), 2)
+        if frozenset((a, b)) not in have:
+            have.add(frozenset((a, b)))
+            cross.append((a, b))
+    names = [f"v{i:02d}" for i in range(n + rng.randrange(2))]
+    rng.shuffle(names)
+    if rng.random() < 0.5:
+        profits = [rng.randrange(3) for _ in edges + cross]
+    else:
+        profits = rng.sample(range(1, 1000), len(edges) + len(cross))
+    if rng.random() < 0.5:  # cross edges last
+        profits.sort(reverse=True)
+    g = ProfitGraph(names)
+    for (a, b), p in zip(edges + cross, profits):
+        g.add_edge(names[a], names[b], p)
     return g
 
 

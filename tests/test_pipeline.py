@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crown.errors import ParameterError
 from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit
 from crown.pipeline import (
     box_dimensions,
@@ -142,6 +144,13 @@ def test_random_baseline_single_box_at_origin():
     lay = random_baseline(g, {"solo": BoxSpec("solo", Fraction(3), Fraction(1))}, seed=5)
     x, y = lay.pos["solo"]
     assert (x + Fraction(3, 2), y + Fraction(1, 2)) == (0, 0)  # centered
+
+
+def test_random_baseline_rejects_a_vertex_without_box():
+    g = ProfitGraph("abc", {("a", "b"): 1, ("b", "c"): 1})
+    boxes = {v: BoxSpec(v, Fraction(1), Fraction(1)) for v in "ab"}
+    with pytest.raises(ParameterError, match="'c'"):
+        random_baseline(g, boxes, seed=0)
 
 
 # A side as (numerator, denominator): on the corpus's 1/64 grid, finer, or

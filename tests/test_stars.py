@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from itertools import combinations
 
@@ -14,10 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crown
+from crown import stars
 from crown.errors import NotATreeError, NotPlanarError, ParameterError, TooLargeError
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
+from crown.pipeline import document_instance, load_corpus
 from crown.stars import (
     MAX_CORNER_POOL,
+    Star,
+    StarForest,
     StarInstance,
     _is_planar,
     max_crown_stars,
@@ -31,6 +37,8 @@ from crown.stars import (
 from oracles import (
     is_planar_nx,
     maximal_planar_subgraph_brute,
+    maximal_planar_subgraph_union,
+    rand_block_graph,
     rand_clustered_graph,
     rand_star_instance,
     star_opt,
@@ -38,6 +46,7 @@ from oracles import (
 
 EPS = Fraction(1, 10)
 ALPHA = (1 - EPS) / (2 - EPS)  # 9/19
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def star(center_dims, leaf_dims, profits=None):
@@ -234,6 +243,20 @@ def test_solve_star_forest_places_every_vertex():
     assert set(lay.pos) == set("abcde")  # singletons packed too
 
 
+def test_solve_star_forest_rejects_a_vertex_without_box():
+    g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
+    forest = StarForest((Star("b", ("c",)),))
+    with pytest.raises(ParameterError, match="'c'"):
+        solve_star_forest(forest, unit_boxes("ab"), g, EPS)
+
+
+def test_solve_star_forest_rejects_a_star_edge_not_in_the_graph():
+    g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
+    forest = StarForest((Star("a", ("c",)),))
+    with pytest.raises(ParameterError, match="'a'-'c'"):
+        solve_star_forest(forest, unit_boxes("abc"), g, EPS)
+
+
 def test_maximal_planar_subgraph_keeps_planar_input():
     g = ProfitGraph("abcd", {("a", "b"): rat(2), ("c", "d"): rat(3)})
     sub = maximal_planar_subgraph(g)
@@ -300,6 +323,72 @@ def test_maximal_planar_subgraph_matches_whole_graph_greedy(seed):
     ref = maximal_planar_subgraph_brute(g)
     assert sub.edges() == ref.edges()
     assert sub.vertices == ref.vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_maximal_planar_subgraph_matches_whole_graph_greedy_on_block_graphs(seed):
+    g = rand_block_graph(random.Random(seed))
+    sub = maximal_planar_subgraph(g)
+    assert sub.edges() == maximal_planar_subgraph_brute(g).edges()
+    assert sub.vertices == g.vertices
+
+
+def test_block_graphs_reach_every_shortcut(monkeypatch):
+    # rand_block_graph draws must exercise what the per-block decision
+    # skips or decides early: block paths of three or more blocks, paths
+    # failed by a pair already rejected (no test runs and no new pair gets
+    # forbidden), and rejects on a neighbourhood, a vertex set that is no
+    # block's.
+    seen = Counter()
+    stays, planar_on = stars._path_stays_planar, stars._planar_on
+    blocks = {}
+
+    def spy_path(path, a, b, bedges, bverts, adj, forbidden):
+        blocks["verts"] = bverts
+        before, tests = len(forbidden), seen["tests"]
+        ok = stays(path, a, b, bedges, bverts, adj, forbidden)
+        seen["long path"] += len(path) >= 3
+        seen["forbidden"] += not ok and len(forbidden) == before and seen["tests"] == tests
+        return ok
+
+    def spy_test(verts, edges):
+        seen["tests"] += 1
+        ok = planar_on(verts, edges)
+        seen["near reject"] += not ok and all(verts is not v for v in blocks["verts"].values())
+        return ok
+
+    monkeypatch.setattr(stars, "_path_stays_planar", spy_path)
+    monkeypatch.setattr(stars, "_planar_on", spy_test)
+    for seed in range(40):
+        maximal_planar_subgraph(rand_block_graph(random.Random(seed)))
+    assert seen["long path"] >= 20
+    assert seen["forbidden"] >= 3
+    assert seen["near reject"] >= 10
+
+
+@lru_cache(maxsize=None)
+def corpus_graphs(k):
+    docs = load_corpus(CORPUS)
+    assert len(docs) == 13
+    return [(doc_id, document_instance(text, k)[1]) for doc_id, text in docs]
+
+
+@pytest.mark.parametrize("k", [50, 100])
+def test_maximal_planar_subgraph_matches_union_on_the_corpus(k):
+    for doc_id, g in corpus_graphs(k):
+        assert maximal_planar_subgraph(g).edges() == maximal_planar_subgraph_union(g).edges(), doc_id
+
+
+def test_maximal_planar_subgraph_tests_few_edges_on_the_corpus(monkeypatch):
+    # One left-right test per edge on the whole union of the blocks on the
+    # path handed _is_planar 786,775 edges over the corpus at k=100.
+    handed = []
+    test = stars._is_planar
+    monkeypatch.setattr(stars, "_is_planar", lambda n, edges: handed.append(len(edges)) or test(n, edges))
+    for _, g in corpus_graphs(100):
+        maximal_planar_subgraph(g)
+    assert sum(handed) <= 0.6 * 786_775
 
 
 K5 = list(combinations(range(5), 2))
@@ -434,9 +523,10 @@ def test_max_crown_stars_respects_graph(seed):
 
 
 def test_planarity_tests_do_not_follow_the_hash_seed():
-    # Each union of blocks is numbered in id order, so the graphs handed to
-    # _is_planar, and with them the stage's work, are the same in every
-    # process whatever PYTHONHASHSEED is.
+    # Each block and each neighbourhood is numbered in id order, with its
+    # edges in a fixed order, so the graphs handed to _is_planar, and with
+    # them the stage's work, are the same in every process whatever
+    # PYTHONHASHSEED is.
     code = (
         "import json, random\n"
         "from crown import stars\n"
