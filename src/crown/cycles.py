@@ -312,7 +312,7 @@ def max_crown_cycles(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout
     realized by the cycle/path layouts.  Raises ParameterError when a
     graph vertex has no box.
     """
-    require_boxes(graph, boxes)
+    require_boxes(graph.vertices, boxes)
     decomposition = decompose_cycle_covers(graph)
     components: List[Layout] = []
     covered: set = set()

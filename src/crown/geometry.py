@@ -27,12 +27,20 @@ from .errors import DuplicateIdError, OverlapError, ParameterError
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction.
+
+    Raises ParameterError for a string that is not a rational or has a
+    zero denominator.  A float raises TypeError: passing one is a
+    programming error, outside the ``CrownError`` contract.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"not an exact rational: {value!r}") from None
 
 
 def denominator_lcm(values: Iterable) -> int:
@@ -125,10 +133,10 @@ class ProfitGraph:
         return max(self.degrees().values(), default=0)
 
 
-def require_boxes(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> None:
-    """ParameterError naming the first graph vertex, in sorted order,
+def require_boxes(vertices: Iterable[str], boxes: Mapping[str, BoxSpec]) -> None:
+    """ParameterError naming the first of ``vertices``, in sorted order,
     that has no box."""
-    missing = [v for v in graph.vertices if v not in boxes]
+    missing = [v for v in vertices if v not in boxes]
     if missing:
         raise ParameterError(f"graph vertex {min(missing)!r} has no box")
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HierInfeasibleError, ParameterError
-from .geometry import BoxSpec, Layout, denominator_lcm, rat
+from .geometry import BoxSpec, Layout, denominator_lcm, rat, require_boxes
 
 
 @dataclass(frozen=True)
@@ -302,12 +302,13 @@ def solve_hier(dag: EmbeddedDag, boxes: Mapping[str, BoxSpec], delta=None) -> La
 
     Raises HierInfeasibleError with stage "embedding", "assign_y" or
     "solve_x" and the sub-step's witness when no such layout exists, and
-    ParameterError when delta is not positive.
+    ParameterError when delta is not positive or a vertex has no box.
     """
     if delta is not None:
         delta = rat(delta)
         if delta <= 0:
             raise ParameterError(f"delta must be positive, got {delta}")
+    require_boxes(dag.vertices, boxes)
     violation = validate_embedding(dag)
     if violation is not None:
         raise HierInfeasibleError("embedding", violation)

@@ -22,7 +22,7 @@ from pathlib import Path
 from random import Random
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, ParameterError
 from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm, require_boxes
 
 GRID = Fraction(1, 64)
@@ -130,6 +130,9 @@ def preprocess(text: str, stopwords=None) -> WordStats:
 
 
 def top_stems(stats: WordStats, k: int) -> List[str]:
+    """The k most frequent stems, ties by stem; ParameterError for k < 0."""
+    if k < 0:
+        raise ParameterError(f"k must be >= 0, got {k}")
     return sorted(stats.freq, key=lambda s: (-stats.freq[s], s))[:k]
 
 
@@ -221,7 +224,7 @@ def random_baseline(
     place the boxes elsewhere.  Raises ParameterError when a graph vertex
     has no box.
     """
-    require_boxes(graph, boxes)
+    require_boxes(graph.vertices, boxes)
     rng = Random(seed)
     order = sorted(boxes.values(), key=lambda b: (-(b.w * b.h), b.id))
     lay = Layout()

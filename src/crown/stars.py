@@ -7,14 +7,14 @@ are the sides (top/bottom capacity = center width, left/right capacity =
 center height).  Trees split into 2 star forests, planar graphs into at
 most 6, and the best per-forest layout is kept.
 
-Only ``partition_planar`` uses networkx, for the planar embedding and
-the canonical ordering, and imports it inside, so importing this module
-does not load it.  ``maximal_planar_subgraph`` tests planarity with its
-own boolean left-right test, ``_is_planar``, one block at a time: each
-block on the path an edge would close gets one virtual edge between the
-cut vertices of the path, pairs found non-planar once are remembered
-and fail later paths untested, and the pair's neighbourhood is tested
-before the whole block.
+``partition_planar`` splits a planar graph into 3 forests by Edmonds'
+matroid partition, with no embedding.  ``maximal_planar_subgraph``
+tests planarity with its own boolean left-right test, ``_is_planar``,
+one block at a time: each block on the path an edge would close gets
+one virtual edge between the cut vertices of the path, pairs found
+non-planar once are remembered and fail later paths untested, and the
+pair's neighbourhood is tested before the whole block.  The module
+needs nothing beyond the standard library.
 """
 
 import itertools
@@ -235,53 +235,86 @@ def partition_tree(edges: Sequence[Tuple[str, str]]) -> Tuple[StarForest, StarFo
     return StarForest(tuple(halves[0])), StarForest(tuple(halves[1]))
 
 
+def _tree_path(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
+    """Edge ids on the path between a and b in a forest given as vertex ->
+    {neighbour: edge id}; a and b must share a tree."""
+    via: Dict[int, Optional[Tuple[int, int]]] = {a: None}  # vertex -> (previous vertex, edge)
+    queue = deque([a])
+    while b not in via:
+        v = queue.popleft()
+        for w, e in adj[v].items():
+            if w not in via:
+                via[w] = (v, e)
+                queue.append(w)
+    path = []
+    while via[b] is not None:
+        b, e = via[b]
+        path.append(e)
+    return path
+
+
 def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     """Partition a planar graph's edges into at most 6 star forests.
 
-    Forests (acyclic graphs) go straight to the 2-forest tree split.
-    Otherwise the embedding is triangulated and a canonical ordering
-    3-colors the edges: when vertex v_k arrives with contour neighbors
-    w_p..w_q, edge (v_k,w_p) is class 0, (v_k,w_q) class 1, the middle
-    edges and the base (v_1,v_2) class 2.  Class 0/1 edges give each v_k
-    one edge toward an earlier vertex, class 2 gives each covered vertex
-    one edge toward a later one, so every class is a forest; restricting
-    to the real edge set keeps that.  Each class then splits in two.
+    Planar graphs have arboricity at most 3 (Nash-Williams 1964), so
+    Edmonds' matroid partition (1965) splits them into 3 forests, which
+    ``partition_tree`` halves.  Edges go in by (profit descending, id
+    pair), each by a breadth-first search from it: an edge fits a forest
+    other than its own when its ends lie in different trees there, and
+    else may push out any edge on the tree path between them.  Moving
+    the edges of the shortest such chain keeps every class a forest; a
+    swap keeps a forest's trees and the last move joins two, so a
+    union-find per forest tells when an edge fits.  A forest lands whole
+    in the first class.  Raises NotPlanarError when ``_is_planar``
+    rejects the graph.
     """
-    import networkx as nx
-    from networkx.algorithms.planar_drawing import get_canonical_ordering, triangulate_embedding
-
-    real = [(a, b) for a, b, _ in graph.edges()]
-    if not real:
-        return []
-    # networkx's canonical ordering pops from node sets, so string labels
-    # would make the split depend on the per-process hash seed; integers
-    # hash to themselves and keep it reproducible.
     names = sorted(graph.vertices)
-    idx = {v: i for i, v in enumerate(names)}
-    g = nx.Graph()
-    g.add_nodes_from(range(len(names)))
-    g.add_edges_from((idx[a], idx[b]) for a, b in real)
-    if nx.is_forest(g):
-        return [f for f in partition_tree(real) if f.stars]
-    is_planar, emb = nx.check_planarity(g)
-    if not is_planar:
+    num = {v: i for i, v in enumerate(names)}
+    ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
+    ends = [(num[a], num[b]) for a, b, _ in ranked]
+    if not _is_planar(len(names), ends):
         raise NotPlanarError("input graph is not planar")
-    emb_t, outer = triangulate_embedding(emb, True)
-    ordering = get_canonical_ordering(emb_t, outer)
+    home = [-1] * len(ends)  # edge -> its forest
+    adj = [[{} for _ in names] for _ in range(3)]  # forest -> vertex -> {neighbour: edge}
+    roots = [list(range(len(names))) for _ in range(3)]  # forest -> union-find parent
 
-    classes: Tuple[set, set, set] = (set(), set(), set())
-    v1, v2 = names[ordering[0][0]], names[ordering[1][0]]
-    classes[2].add(ProfitGraph.key(v1, v2))
-    for vk, contour in ordering[2:]:
-        classes[0].add(ProfitGraph.key(names[vk], names[contour[0]]))
-        classes[1].add(ProfitGraph.key(names[vk], names[contour[-1]]))
-        for wi in contour[1:-1]:
-            classes[2].add(ProfitGraph.key(names[wi], names[vk]))
+    def find(f: int, v: int) -> int:
+        up = roots[f]
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    for new in range(len(ends)):
+        came: Dict[int, Optional[int]] = {new: None}  # edge -> edge it makes room for
+        queue = deque([new])
+        sink = None
+        while sink is None:  # arboricity 3 leaves a chain for every edge
+            e = queue.popleft()
+            a, b = ends[e]
+            others = [f for f in range(3) if f != home[e]]
+            sink = next((f for f in others if find(f, a) != find(f, b)), None)
+            if sink is None:
+                for f in others:
+                    for h in _tree_path(adj[f], a, b):
+                        if h not in came:
+                            came[h] = e
+                            queue.append(h)
+        roots[sink][find(sink, a)] = find(sink, b)
+        f = sink
+        while e is not None:
+            a, b = ends[e]
+            old = home[e]
+            if old >= 0:
+                del adj[old][a][b], adj[old][b][a]
+            adj[f][a][b] = adj[f][b][a] = e
+            home[e] = f
+            e, f = came[e], old
 
     out: List[StarForest] = []
-    for cls in classes:
-        kept = sorted(e for e in cls if graph.has_edge(*e))
-        out.extend(f for f in partition_tree(kept) if f.stars)
+    for f in range(3):
+        edges = [(names[a], names[b]) for e, (a, b) in enumerate(ends) if home[e] == f]
+        out.extend(half for half in partition_tree(edges) if half.stars)
     return out
 
 
@@ -297,7 +330,7 @@ def solve_star_forest(
     Raises ParameterError when a graph vertex has no box or a star edge
     is not in the graph.
     """
-    require_boxes(graph, boxes)
+    require_boxes(graph.vertices, boxes)
     components: List[Layout] = []
     used = set()
     for star in forest.stars:
@@ -335,7 +368,7 @@ def max_crown_stars(
     no box.
     """
     _check_star_params(eps, corner_candidates)
-    require_boxes(graph, boxes)
+    require_boxes(graph.vertices, boxes)
     forests = partition_planar(graph)
     if not forests:
         return pack_components([singleton_layout(boxes[v]) for v in sorted(boxes)])

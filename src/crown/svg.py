@@ -61,7 +61,7 @@ def dec(q: Fraction) -> str:
 def _escape(text: str) -> str:
     """XML character data: the three replacements of
     ``xml.sax.saxutils.escape``, whose import pulls in ``urllib`` and
-    ``http.client`` (about 2 MB resident even beside networkx)."""
+    ``http.client`` (about 2 MB resident)."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

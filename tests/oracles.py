@@ -1372,6 +1372,21 @@ def rand_tree(rng: random.Random, n: int) -> List[Tuple[str, str]]:
     return [(rng.choice(ids[:i]), ids[i]) for i in range(1, n)]
 
 
+def rand_stacked_triangulation(rng: random.Random, n: int) -> List[Tuple[str, str]]:
+    """Random stacked triangulation on s0..s{n-1}, n >= 3: each new vertex
+    goes into a random face of the triangulation so far and joins its
+    three corners, which gives 3n - 6 edges."""
+    ids = [f"s{i}" for i in range(n)]
+    edges = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[0], ids[2])]
+    faces = [(0, 1, 2)] * 2  # the inside and the outside of the first triangle
+    for v in range(3, n):
+        corners = faces.pop(rng.randrange(len(faces)))
+        edges += [(ids[u], ids[v]) for u in corners]
+        a, b, c = corners
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return edges
+
+
 def rand_star_instance(rng: random.Random, leaves: int) -> StarInstance:
     center = BoxSpec("hub", rand_frac(rng, 2, 10), rand_frac(rng, 2, 10))
     leaf_boxes = tuple(

@@ -12,7 +12,7 @@ import pytest
 
 import crown
 from crown.errors import CrownError
-from crown.gap import GapInstance, GapItem
+from crown.gap import GapInstance, GapItem, knapsack_fptas
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag, assign_y, solve_x, sweep_order
 from crown.stars import StarInstance
@@ -25,7 +25,7 @@ SUBMODULES = [
 
 def test_import_loads_the_submodules_and_exposes_only_them():
     # A fresh interpreter, so modules other tests imported do not count.
-    # networkx is imported only where a star forest is built.
+    # The library needs no networkx: that is a test oracle only.
     code = (
         "import json, sys, crown; print(json.dumps(["
         "sorted(m for m in sys.modules if m.startswith('crown.')),"
@@ -58,6 +58,9 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
     [
         lambda: BoxSpec("a", 0, 1),
         lambda: BoxSpec("a", 1, Fraction(-1, 2)),
+        lambda: BoxSpec("a", "x", 1),
+        lambda: BoxSpec("a", "1/0", 1),
+        lambda: knapsack_fptas([(1, 1)], 1, "x"),
         lambda: ProfitGraph.key("a", "a"),
         lambda: ProfitGraph().add_edge("a", "a", 1),
         lambda: ProfitGraph().add_edge("a", "b", -1),
@@ -75,7 +78,8 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         lambda: solve_x({"a": 1, "b": 1}, SINKLESS.edges, (), Fraction(1, 2), "a"),
     ],
     ids=[
-        "box-zero-width", "box-negative-height", "key-self-loop",
+        "box-zero-width", "box-negative-height", "box-bad-string",
+        "box-zero-denominator", "knapsack-bad-eps", "key-self-loop",
         "edge-self-loop", "edge-negative-profit", "graph-negative-profit",
         "item-misaligned", "item-negative-size", "item-negative-value",
         "gap-wrong-arity", "star-leaf-is-center", "star-leaf-without-profit",

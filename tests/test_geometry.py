@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.errors import DuplicateIdError, OverlapError
+from crown.errors import DuplicateIdError, OverlapError, ParameterError
 from crown.geometry import (
     BoxSpec,
     Layout,
@@ -47,6 +47,9 @@ def test_rat_accepts_exact_types_only():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+    for bad in ("x", "1/0", ""):
+        with pytest.raises(ParameterError, match="not an exact rational"):
+            rat(bad)
 
 
 def test_denominator_lcm_is_one_on_integers_and_empty_input():

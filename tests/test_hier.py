@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crown.errors import HierInfeasibleError
+from crown.errors import HierInfeasibleError, ParameterError
 from crown.geometry import BoxSpec, denominator_lcm, detect_contacts, rat
 from crown.hier import (
     EmbeddedDag,
@@ -118,6 +118,14 @@ def test_solve_hier_single_edge():
     lay = solve_hier(dag, boxes_of({"s": (1, 1), "c": (1, 1)}), Fraction(1, 4))
     pairs = {(ct.a, ct.b, ct.orientation) for ct in detect_contacts(lay)}
     assert ("c", "s", "v") in pairs
+
+
+def test_solve_hier_names_the_first_vertex_without_box():
+    dag = EmbeddedDag(("a", "b"), (("a", "b"),), {"a": ("b",), "b": ("a",)})
+    with pytest.raises(ParameterError, match="'b'"):
+        solve_hier(dag, boxes_of({"a": (1, 1)}))
+    with pytest.raises(ParameterError, match="'a'"):
+        solve_hier(dag, {}, 1)
 
 
 def test_solve_hier_infeasible_two_wide_preds():

@@ -46,6 +46,9 @@ def test_top_stems_bounded_and_sorted_by_freq():
     stats = preprocess("alpha alpha alpha beta beta gamma. delta.")
     top = top_stems(stats, 2)
     assert top == ["alpha", "beta"]
+    assert top_stems(stats, 0) == []
+    with pytest.raises(ParameterError, match="k must be >= 0"):
+        top_stems(stats, -1)
 
 
 def test_similarity_profits_in_unit_interval():

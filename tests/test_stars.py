@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,10 @@ from oracles import (
     maximal_planar_subgraph_union,
     rand_block_graph,
     rand_clustered_graph,
+    rand_guillotine_dual,
+    rand_stacked_triangulation,
     rand_star_instance,
+    rand_tree,
     star_opt,
 )
 
@@ -183,6 +187,71 @@ def test_partition_planar_k4_partitions_all_edges():
 
 def test_partition_planar_empty():
     assert partition_planar(ProfitGraph()) == []
+    assert partition_planar(ProfitGraph("abc")) == []
+
+
+@pytest.mark.parametrize("vertices", ["ab", "abc"], ids=["two-vertex", "one-edge"])
+def test_partition_planar_one_edge(vertices):
+    g = ProfitGraph(vertices, {("b", "a"): rat(1)})
+    assert partition_planar(g) == [StarForest((Star("a", ("b",)),))]
+
+
+def planar_draw(kind: str, seed: int, tied: bool) -> ProfitGraph:
+    """A planar graph of one of three kinds, with tied (0..2) or distinct
+    profits."""
+    rng = random.Random(seed)
+    if kind == "guillotine-dual":
+        inst = rand_guillotine_dual(rng, rng.randrange(1, 17), perturb=False)
+        vertices, edges = sorted(inst.boxes), inst.edges()
+    elif kind == "stacked":
+        edges = rand_stacked_triangulation(rng, rng.randrange(3, 60))
+        vertices = sorted({v for e in edges for v in e})
+    else:
+        kept = maximal_planar_subgraph(rand_clustered_graph(rng, 24))
+        vertices, edges = sorted(kept.vertices), [(a, b) for a, b, _ in kept.edges()]
+    if tied:
+        profits = [rng.randrange(3) for _ in edges]
+    else:
+        profits = rng.sample(range(1, 10 * len(edges) + 2), len(edges))
+    return ProfitGraph(vertices, dict(zip(edges, profits)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["guillotine-dual", "stacked", "planar-subgraph"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_partition_planar_splits_planar_graphs_into_six_star_forests(kind, seed, tied):
+    g = planar_draw(kind, seed, tied)
+    classes = []
+
+    def recording(edges):  # NotATreeError unless the class is a forest
+        classes.append(list(edges))
+        return partition_tree(edges)
+
+    with mock.patch.object(stars, "partition_tree", recording):
+        forests = partition_planar(g)
+    assert len(classes) <= 3
+    assert forests == [f for cls in classes for f in partition_tree(cls) if f.stars]
+    assert len(forests) <= 6
+    landed = Counter(ProfitGraph.key(*e) for f in forests for e in f.edges())
+    assert set(landed.values()) <= {1}
+    assert set(landed) == {ProfitGraph.key(a, b) for a, b, _ in g.edges()}
+    for f in forests:
+        used = [v for s in f.stars for v in (s.center, *s.leaves)]
+        assert len(used) == len(set(used))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_partition_planar_keeps_the_tree_split_of_a_forest(seed, tied):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    edges = [e for e in rand_tree(rng, n) if rng.random() < 0.85]
+    profits = [rng.randrange(3) if tied else rng.randrange(1, 10**6) for _ in edges]
+    g = ProfitGraph([f"t{i}" for i in range(n)], dict(zip(edges, profits)))
+    assert partition_planar(g) == [f for f in partition_tree(edges) if f.stars]
 
 
 def unit_boxes(ids):
@@ -526,7 +595,7 @@ def test_planarity_tests_do_not_follow_the_hash_seed():
     # Each block and each neighbourhood is numbered in id order, with its
     # edges in a fixed order, so the graphs handed to _is_planar, and with
     # them the stage's work, are the same in every process whatever
-    # PYTHONHASHSEED is.
+    # PYTHONHASHSEED is; so is the star-forest partition of the result.
     code = (
         "import json, random\n"
         "from crown import stars\n"
@@ -540,8 +609,9 @@ def test_planarity_tests_do_not_follow_the_hash_seed():
         "            g.add_edge(a, b, rng.randint(1, 5))\n"
         "calls, test = [], stars._is_planar\n"
         "stars._is_planar = lambda n, edges: calls.append([n, edges]) or test(n, edges)\n"
-        "stars.maximal_planar_subgraph(g)\n"
+        "kept = stars.maximal_planar_subgraph(g)\n"
         "print(json.dumps(calls))\n"
+        "print(stars.partition_planar(kept))\n"
     )
     src = str(Path(crown.__file__).resolve().parent.parent)
     runs = [
@@ -554,5 +624,5 @@ def test_planarity_tests_do_not_follow_the_hash_seed():
         ).stdout
         for seed in ("1", "2")
     ]
-    assert len(json.loads(runs[0])) > 10
+    assert len(json.loads(runs[0].splitlines()[0])) > 10
     assert runs[0] == runs[1]
