@@ -309,6 +309,62 @@ def test_cli_runs_with_networkx_blocked(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["hier", "{dag}"],
+        ["tri", "{wheel}"],
+        ["layout", "{tri}", "--algo", "cycle-cover"],
+        ["layout", "{tri}", "--algo", "random"],
+        ["layout", "{tri}", "--algo", "star-forest"],
+    ],
+    ids=["hier", "tri", "cycle-cover", "random", "star-forest"],
+)
+def test_networkx_loads_only_for_star_forests(tmp_path, argv):
+    # Star forests were once the only subcommand that loaded networkx; the
+    # 3-forest matroid partition needs none, so no subcommand loads it now.
+    tri, dag, wheel = tmp_path / "triangle.json", tmp_path / "dag.json", tmp_path / "tri.json"
+    triangle_instance(tri)
+    chain_dag(dag)
+    wheel_instance(wheel, 4)
+    argv = [a.format(tri=tri, dag=dag, wheel=wheel) for a in argv]
+    out = tmp_path / "out.json"
+    code = (
+        "import sys\n"
+        "from crown.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, 'networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "-o", str(out)],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0 False\n", proc.stderr
+    assert out.read_text(encoding="utf-8").startswith("{")
+
+
+def test_maximal_planar_subgraph_does_not_load_networkx():
+    code = (
+        "import sys\n"
+        "from crown.geometry import ProfitGraph\n"
+        "from crown.stars import maximal_planar_subgraph\n"
+        "vs = 'abcde'\n"
+        "g = ProfitGraph(vs, {(u, v): 1 for i, u in enumerate(vs) for v in vs[i + 1 :]})\n"
+        "print(len(maximal_planar_subgraph(g).edges()), 'networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "9 False\n", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["layout", "{tri}", "--algo", "star-forest", "--eps", "2"],
         ["layout", "{tri}", "--algo", "star-forest", "--eps", "0"],
         ["layout", "{tri}", "--algo", "star-forest", "--corners", "-1"],
