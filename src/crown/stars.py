@@ -617,9 +617,9 @@ def _is_planar(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
 
 def _planar_on(verts, edges: Sequence[Tuple[int, int]]) -> bool:
     """Whether ``edges`` on the vertex numbers ``verts`` form a planar
-    graph: False past 3V-6 edges, else ``_is_planar`` on the graph
-    relabelled to 0..V-1 in number order."""
-    if len(edges) > 3 * len(verts) - 6:
+    graph: False past 3V-6 edges on more than 2 vertices, else
+    ``_is_planar`` on the graph relabelled to 0..V-1 in number order."""
+    if len(verts) > 2 and len(edges) > 3 * len(verts) - 6:
         return False
     idx = {v: i for i, v in enumerate(sorted(verts))}
     return _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges])

@@ -9,18 +9,22 @@ step a concavity of the placed region admits at most one unplaced box
 placement is applicable when the region stays rectilinearly convex.  At
 the end the inner boxes must tile a rectangle that the four outer boxes
 can wrap.
+
+The placed region is kept as its up-right boundary, a list of points
+from the W ray's top-left corner to the S ray's bottom-right one.  It
+stays a staircase: the rays cover x <= 0 and y <= 0 beside the quadrant
+and each placement keeps the union orthogonally convex, so the placed
+part of the quadrant is a down-set.  A box on an inner corner therefore
+never overlaps, and keeps the union convex exactly when the wall above
+the corner and the floor right of it are long enough.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInstanceError, TriangulationInfeasibleError
 from .geometry import BoxSpec, Layout, denominator_lcm
-
-Rect = Tuple[int, int, int, int]  # x1, y1, x2, y2 in units of 1/unit
-
 
 @dataclass(frozen=True)
 class TriangulationInstance:
@@ -122,61 +126,50 @@ def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation
 
     face_tris: Set[frozenset] = {frozenset(f) for f in inner}
     adj = {v: set(inst.rotation[v]) for v in verts}
-    for a, b, c in itertools.combinations(verts, 3):
-        if b in adj[a] and c in adj[a] and c in adj[b]:
-            if frozenset((a, b, c)) not in face_tris:
-                return InstanceViolation("separating", f"triangle ({a}, {b}, {c}) bounds no face")
+    for a in verts:
+        for b in sorted(u for u in adj[a] if u > a):
+            for c in sorted(u for u in adj[a] & adj[b] if u > b):
+                if frozenset((a, b, c)) not in face_tris:
+                    return InstanceViolation("separating", f"triangle ({a}, {b}, {c}) bounds no face")
     return None
 
 
-def _overlaps(r: Rect, s: Rect) -> bool:
-    return r[0] < s[2] and s[0] < r[2] and r[1] < s[3] and s[1] < r[3]
+def _concavities(
+    stair: Sequence[Tuple[int, int, Optional[str]]], tops: Set[Tuple[int, int]]
+) -> List[Tuple[int, int, int, str, str]]:
+    """Inner corners (a vertical step, then a horizontal one) that can
+    host a box, left to right: (index, x, y, wall id, floor id).  A placed
+    box's top-right corner never can."""
+    return [
+        (i, x, y, stair[i - 1][2], floor)
+        for i, (x, y, floor) in enumerate(stair[1:-1], 1)
+        if stair[i - 1][0] == x and stair[i + 1][1] == y and (x, y) not in tops
+    ]
 
 
-def _rect_convex(rects: Sequence[Rect]) -> bool:
-    """Union meets every horizontal and vertical line in one interval."""
-    for axis in (0, 1):
-        cuts = sorted({r[axis] for r in rects} | {r[axis + 2] for r in rects})
-        for a, b in zip(cuts, cuts[1:]):
-            spans = sorted(
-                (r[1 - axis], r[3 - axis])
-                for r in rects
-                if r[axis] <= a and b <= r[axis + 2]
-            )
-            if not spans:
-                continue
-            hi = spans[0][1]
-            for lo2, hi2 in spans[1:]:
-                if lo2 > hi:
-                    return False
-                hi = max(hi, hi2)
+def _place(
+    stair: List[Tuple[int, int, Optional[str]]], tops: Set[Tuple[int, int]], i: int, v: str, w: int, h: int
+) -> bool:
+    """Splice the w x h box ``v`` into the inner corner ``stair[i]`` and
+    note its top-right corner, unless the wall above the corner is under
+    h high or the floor right of it under w long (the union would stop
+    being convex)."""
+    qx, qy, _ = stair[i]
+    # b: the topmost wall point at or below qy + h; d: the first point
+    # past the floor, or the first floor point at or right of qx + w
+    b = i
+    while stair[b - 1][0] == qx and stair[b - 1][1] <= qy + h:
+        b -= 1
+    d = i + 1
+    while stair[d][1] == qy and stair[d][0] < qx + w:
+        d += 1
+    if not (stair[b - 1][0] == qx or stair[b][1] == qy + h) or stair[d][1] != qy:
+        return False
+    # the floor point at qx + w keeps the owner of the floor piece under it
+    right = [] if stair[d][0] == qx + w else [(qx + w, qy, stair[d - 1][2])]
+    stair[b:d] = [(qx, qy + h, v), (qx + w, qy + h, v)] + right
+    tops.add((qx + w, qy + h))
     return True
-
-
-def _concavities(placed: Mapping[str, Rect]) -> List[Tuple[int, int, str, str]]:
-    """Corners that can host the next box: (x, y, wall id, floor id).
-
-    A concavity is a bottom-right or top-left corner of a placed
-    rectangle, not the top-right corner of any, whose up-right quadrant
-    is locally free, propped by a wall (right edge through it) and a
-    floor (top edge through it).
-    """
-    rects = placed.values()
-    candidates = set()
-    for x1, y1, x2, y2 in rects:
-        candidates.add((x2, y1))
-        candidates.add((x1, y2))
-    out = []
-    for qx, qy in sorted(candidates):
-        if any((r[2], r[3]) == (qx, qy) for r in rects):
-            continue
-        if any(r[0] <= qx < r[2] and r[1] <= qy < r[3] for r in rects):
-            continue
-        wall = [i for i, r in placed.items() if r[2] == qx and r[0] < qx and r[1] <= qy < r[3]]
-        floor = [i for i, r in placed.items() if r[3] == qy and r[1] < qy and r[0] <= qx < r[2]]
-        if len(wall) == 1 and len(floor) == 1:
-            out.append((qx, qy, wall[0], floor[0]))
-    return out
 
 
 def realize_triangulation(inst: TriangulationInstance) -> Layout:
@@ -186,9 +179,12 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     (inner boxes do not close up to a rectangle), "outer-too-small" (the
     frame boxes cannot wrap the inner rectangle).
 
-    The staircase runs on integers: coordinates are counted in units of
-    1/unit, unit = lcm of the denominators of every box dimension, and
-    turn back into Fractions only in the layout and the witnesses.
+    The staircase is a list of points (x, y, owner), the owner's edge
+    running on to the next point, beside the set of placed boxes'
+    top-right corners.  It runs on integers: coordinates are counted in
+    units of 1/unit, unit = lcm of the denominators of every box
+    dimension, and turn back into Fractions only in the layout and the
+    witnesses.
     """
     violation = validate_instance(inst)
     if violation is not None:
@@ -200,34 +196,27 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     unit = denominator_lcm(d for b in inst.boxes.values() for d in (b.w, b.h))
     dims = {v: (int(b.w * unit), int(b.h * unit)) for v, b in inst.boxes.items()}
     span = sum(w + h for w, h in dims.values()) + unit
-    placed: Dict[str, Rect] = {vw: (-span, 0, 0, span), vs: (0, -span, span, 0)}
+    stair = [(-span, span, vw), (0, span, vw), (0, 0, vs), (span, 0, vs), (span, -span, None)]
+    tops: Set[Tuple[int, int]] = set()
+    corner: Dict[str, Tuple[int, int]] = {}
     unplaced = set(inner)
 
     while unplaced:
-        progressed = False
-        for qx, qy, wall, floor in _concavities(placed):
-            common = sorted((adj[wall] & adj[floor] & unplaced))
-            if not common:
-                continue
-            w, h = dims[common[0]]
-            rect = (qx, qy, qx + w, qy + h)
-            if any(_overlaps(rect, r) for r in placed.values()):
-                continue
-            if not _rect_convex(list(placed.values()) + [rect]):
-                continue
-            placed[common[0]] = rect
-            unplaced.discard(common[0])
-            progressed = True
-            break
-        if not progressed:
+        for i, qx, qy, wall, floor in _concavities(stair, tops):
+            v = min(adj[wall] & adj[floor] & unplaced, default=None)
+            if v is not None and _place(stair, tops, i, v, *dims[v]):
+                corner[v] = (qx, qy)
+                unplaced.discard(v)
+                break
+        else:
             raise TriangulationInfeasibleError("stuck", sorted(unplaced))
 
-    concs = _concavities(placed)
-    ex = max((q[0] for q in concs if q[1] == 0), default=None)
-    ey = max((q[1] for q in concs if q[0] == 0), default=None)
+    concs = _concavities(stair, tops)
+    ex = max((q[1] for q in concs if q[2] == 0), default=None)
+    ey = max((q[2] for q in concs if q[1] == 0), default=None)
     if len(concs) != 2 or ex is None or ey is None or ex <= 0 or ey <= 0:
         raise TriangulationInfeasibleError(
-            "not-rectangle", [(Fraction(x, unit), Fraction(y, unit)) for x, y, _, _ in concs]
+            "not-rectangle", [(Fraction(x, unit), Fraction(y, unit)) for _, x, y, _, _ in concs]
         )
     ex, ey = Fraction(ex, unit), Fraction(ey, unit)
 
@@ -247,8 +236,8 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
 
     lay = Layout()
     for v in inner:
-        x1, y1, _, _ = placed[v]
-        lay.place(inst.boxes[v], Fraction(x1, unit), Fraction(y1, unit))
+        x, y = corner[v]
+        lay.place(inst.boxes[v], Fraction(x, unit), Fraction(y, unit))
     lay.place(bw, -bw.w, 0)
     lay.place(bs, ex - bs.w, -bs.h)
     lay.place(bn, 0, ey)

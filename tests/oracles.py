@@ -39,13 +39,7 @@ from crown.geometry import (
 from crown.hier import EmbeddedDag, _pred_cycle
 from crown.stars import StarInstance, _block_path, _is_planar
 from crown.svg import GRID, _escape, fill_color
-from crown.triangulation import (
-    TriangulationInstance,
-    _concavities,
-    _overlaps,
-    _rect_convex,
-    validate_instance,
-)
+from crown.triangulation import TriangulationInstance, validate_instance
 
 IRect = Tuple[int, int, int, int]  # x1, y1, x2, y2
 
@@ -700,9 +694,64 @@ def solve_x_fraction(
     raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])
 
 
+Rect = Tuple[Fraction, Fraction, Fraction, Fraction]  # x1, y1, x2, y2
+
+
+def _overlaps(r: Rect, s: Rect) -> bool:
+    return r[0] < s[2] and s[0] < r[2] and r[1] < s[3] and s[1] < r[3]
+
+
+def _rect_convex(rects: Sequence[Rect]) -> bool:
+    """Union meets every horizontal and vertical line in one interval."""
+    for axis in (0, 1):
+        cuts = sorted({r[axis] for r in rects} | {r[axis + 2] for r in rects})
+        for a, b in zip(cuts, cuts[1:]):
+            spans = sorted(
+                (r[1 - axis], r[3 - axis])
+                for r in rects
+                if r[axis] <= a and b <= r[axis + 2]
+            )
+            if not spans:
+                continue
+            hi = spans[0][1]
+            for lo2, hi2 in spans[1:]:
+                if lo2 > hi:
+                    return False
+                hi = max(hi, hi2)
+    return True
+
+
+def _concavities(placed: Mapping[str, Rect]) -> List[Tuple[int, int, str, str]]:
+    """Corners that can host the next box: (x, y, wall id, floor id).
+
+    A concavity is a bottom-right or top-left corner of a placed
+    rectangle, not the top-right corner of any, whose up-right quadrant
+    is locally free, propped by a wall (right edge through it) and a
+    floor (top edge through it).
+    """
+    rects = placed.values()
+    candidates = set()
+    for x1, y1, x2, y2 in rects:
+        candidates.add((x2, y1))
+        candidates.add((x1, y2))
+    out = []
+    for qx, qy in sorted(candidates):
+        if any((r[2], r[3]) == (qx, qy) for r in rects):
+            continue
+        if any(r[0] <= qx < r[2] and r[1] <= qy < r[3] for r in rects):
+            continue
+        wall = [i for i, r in placed.items() if r[2] == qx and r[0] < qx and r[1] <= qy < r[3]]
+        floor = [i for i, r in placed.items() if r[3] == qy and r[1] < qy and r[0] <= qx < r[2]]
+        if len(wall) == 1 and len(floor) == 1:
+            out.append((qx, qy, wall[0], floor[0]))
+    return out
+
+
 def realize_triangulation_fraction(inst: TriangulationInstance) -> Layout:
-    """``triangulation.realize_triangulation`` with the staircase on
-    Fraction rectangles (the library's helpers take either)."""
+    """``triangulation.realize_triangulation`` on Fraction rectangles,
+    rebuilding the staircase from every placed rectangle at each step:
+    concavities, overlaps and convexity come from full scans, not from
+    the library's boundary list."""
     violation = validate_instance(inst)
     if violation is not None:
         raise InvalidInstanceError(f"{violation.kind}: {violation.detail}")
@@ -1429,40 +1478,54 @@ def rand_embedded_dag(
 
 
 def rand_guillotine_dual(
-    rng: random.Random, inner: int, perturb: bool
+    rng: random.Random, inner: int, perturb: bool, side: int = 4
 ) -> TriangulationInstance:
-    """Dual of a random guillotine tiling of a 4x4 square, framed N/E/S/W.
+    """Dual of a random guillotine tiling of a side x side square, cut on
+    integers into at most `inner` tiles, framed N/E/S/W.
+
+    A tile too thin to cut, or a cut that would end at a tile corner and
+    so make four tiles meet in a point, is passed over; the draw stops at
+    `inner` tiles or after 32 * `inner` tries.
 
     With `perturb` false the boxes get the exact tile dimensions (so the
     instance is realizable by construction); with it true the dims are
-    redrawn uniformly from 1..4, which may or may not stay realizable.
+    redrawn uniformly from 1..side, which may or may not stay realizable.
     The rotation system always comes from the true tiling geometry.
     """
-    four = Fraction(4)
+    edge = Fraction(side)
     tiles: List[Tuple[Fraction, Fraction, Fraction, Fraction]] = [
-        (Fraction(0), Fraction(0), four, four)
+        (Fraction(0), Fraction(0), edge, edge)
     ]
-    while len(tiles) < inner:
+    corners: Set[Tuple[Fraction, Fraction]] = set()
+    for _ in range(32 * inner):
+        if len(tiles) >= inner:
+            break
         i = rng.randrange(len(tiles))
-        x1, y1, x2, y2 = tiles.pop(i)
+        x1, y1, x2, y2 = tiles[i]
         vertical_ok = x2 - x1 >= 2
         horizontal_ok = y2 - y1 >= 2
         if not vertical_ok and not horizontal_ok:
-            tiles.append((x1, y1, x2, y2))
-            break
+            continue
         if vertical_ok and (not horizontal_ok or rng.random() < 0.5):
             cut = Fraction(rng.randrange(int(x1) + 1, int(x2)))
-            tiles += [(x1, y1, cut, y2), (cut, y1, x2, y2)]
+            ends = {(cut, y1), (cut, y2)}
+            halves = [(x1, y1, cut, y2), (cut, y1, x2, y2)]
         else:
             cut = Fraction(rng.randrange(int(y1) + 1, int(y2)))
-            tiles += [(x1, y1, x2, cut), (x1, cut, x2, y2)]
+            ends = {(x1, cut), (x2, cut)}
+            halves = [(x1, y1, x2, cut), (x1, cut, x2, y2)]
+        if ends & corners:
+            continue  # the cut would end at a tile corner: a 4-way junction
+        corners |= ends
+        tiles.pop(i)
+        tiles += halves
 
     rects = {f"t{i}": t for i, t in enumerate(tiles)}
     big = Fraction(10)
-    rects["N"] = (-big, four, four + big, four + 1)
-    rects["S"] = (-big, Fraction(-1), four + big, Fraction(0))
-    rects["E"] = (four, Fraction(0), four + 1, four)
-    rects["W"] = (Fraction(-1), Fraction(0), Fraction(0), four)
+    rects["N"] = (-big, edge, edge + big, edge + 1)
+    rects["S"] = (-big, Fraction(-1), edge + big, Fraction(0))
+    rects["E"] = (edge, Fraction(0), edge + 1, edge)
+    rects["W"] = (Fraction(-1), Fraction(0), Fraction(0), edge)
 
     def seg(a1, a2, b1, b2):
         return min(a2, b2) - max(a1, b1) > 0
@@ -1499,13 +1562,13 @@ def rand_guillotine_dual(
     boxes = {}
     for v, (x1, y1, x2, y2) in rects.items():
         if v in "NS":
-            w, h = four, Fraction(1)
+            w, h = edge, Fraction(1)
         elif v in "EW":
-            w, h = Fraction(1), four
+            w, h = Fraction(1), edge
         else:
             w, h = x2 - x1, y2 - y1
         if perturb:
-            w = Fraction(rng.randrange(1, 5))
-            h = Fraction(rng.randrange(1, 5))
+            w = Fraction(rng.randrange(1, side + 1))
+            h = Fraction(rng.randrange(1, side + 1))
         boxes[v] = BoxSpec(v, w, h)
     return TriangulationInstance(boxes, rotation, ("N", "E", "S", "W"))

@@ -553,6 +553,20 @@ def test_is_planar_has_no_recursion_limit():
     assert not _is_planar(n + 4, spliced)
 
 
+@pytest.mark.parametrize(
+    "verts, edges, planar",
+    [
+        ({4}, [], True),
+        ({3, 8}, [(3, 8)], True),
+        (set(range(5)), [(a, b) for a in range(5) for b in range(a + 1, 5)], False),
+    ],
+    ids=["one-vertex", "one-edge", "k5"],
+)
+def test_planar_on_small_graphs_and_k5(verts, edges, planar):
+    # 3V - 6 is negative below 3 vertices, so the edge bound must not apply there
+    assert stars._planar_on(verts, edges) is planar
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_solve_star_meets_oracle_bound(data):
