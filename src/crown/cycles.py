@@ -3,7 +3,7 @@
 A cyclic sequence of boxes is realized with two channels hanging off a
 shared horizontal line: the first boxes sit on the line, the last boxes
 hang under it, and the one leftover box closes the loop at the right end.
-Arbitrary graphs are handled by splitting the edge set into at most
+Arbitrary graphs are handled by splitting the edge set into exactly
 ceil(max_degree / 2) covers, each a disjoint union of cycles and paths,
 and laying out the most profitable cover.
 """
@@ -259,9 +259,8 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
         for g in factor:
             count[g] -= 1
         adj = [[e for e in lst if count[e[1]]] for lst in adj]
-        cover = sorted(real_edges[g] for g in factor if g < m)
-        if cover:
-            covers.append(tuple(cover))
+        # Never empty: a max-degree vertex has at most one padding copy.
+        covers.append(tuple(sorted(real_edges[g] for g in factor if g < m)))
     assert not any(adj)
     return CycleCover(tuple(covers))
 

@@ -140,10 +140,7 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
                 if nv > reach:  # the range above was built from the old reach
                     reach = nv
 
-    for sv in range(reach, 0, -1):
-        if best_size[sv] is not None:
-            return best_set[sv]
-    return ()
+    return best_set[reach]  # set: reach only ever moves to a stored state
 
 
 def gap_sequential(inst: GapInstance, eps) -> GapAssignment:

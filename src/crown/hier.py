@@ -63,7 +63,7 @@ class EmbeddedDag:
 
 @dataclass(frozen=True)
 class EmbeddingViolation:
-    kind: str  # rotation | cycle | sink | reach | bimodal
+    kind: str  # rotation | cycle | sink | bimodal
     vertex: Optional[str]
     detail: str
 
@@ -72,9 +72,9 @@ def validate_embedding(dag: EmbeddedDag) -> Optional[EmbeddingViolation]:
     """First structural violation, or None when the input is usable.
 
     Checks, in order: rotation lists match the incident edges, the edge
-    set is acyclic, there is exactly one sink, every vertex reaches it,
-    and at each vertex the incoming and outgoing edges are contiguous in
-    the rotation.
+    set is acyclic, there is exactly one sink, and at each vertex the
+    incoming and outgoing edges are contiguous in the rotation.  Every
+    vertex then reaches the sink, so that needs no check of its own.
     """
     incident: Dict[str, List[str]] = {v: [] for v in dag.vertices}
     for u, v in dag.edges:
@@ -110,22 +110,7 @@ def validate_embedding(dag: EmbeddedDag) -> Optional[EmbeddingViolation]:
         return EmbeddingViolation(
             "sink", sinks[0] if sinks else None, f"expected one sink, found {sinks}"
         )
-    sink = sinks[0]
-
-    reach = {sink}
-    frontier = [sink]
-    ins: Dict[str, List[str]] = {v: [] for v in dag.vertices}
-    for u, v in dag.edges:
-        ins[v].append(u)
-    while frontier:
-        v = frontier.pop()
-        for u in ins[v]:
-            if u not in reach:
-                reach.add(u)
-                frontier.append(u)
-    if len(reach) != len(dag.vertices):
-        culprit = min(set(dag.vertices) - reach)
-        return EmbeddingViolation("reach", culprit, f"{culprit!r} cannot reach the sink")
+    # Every vertex reaches the sink: out-walks of an acyclic graph end at a sink.
 
     edge_set = set(dag.edges)
     for v in sorted(dag.vertices):
@@ -183,9 +168,7 @@ def sweep_order(
     constraints: List[Tuple[str, str]] = []
     seen = set()
     for level in sorted({y[v][1] for v in dag.vertices}, reverse=True):
-        ending = [v for v in lst if y[v][1] == level]
-        if not ending:
-            continue
+        # A level where no alive box ends keeps lst and emits only seen pairs.
         nxt: List[str] = []
         pred_pairs: List[Tuple[str, str]] = []
         for v in lst:
@@ -229,8 +212,8 @@ def solve_x(
     delta = rat(delta)
     widths = {v: rat(w) for v, w in widths.items()}
     unit = denominator_lcm([delta, *widths.values()])
-    w_u = {v: int(w * unit) for v, w in widths.items()}
-    delta_u = int(delta * unit)
+    w_u = {v: w.numerator * (unit // w.denominator) for v, w in widths.items()}
+    delta_u = delta.numerator * (unit // delta.denominator)
     cons: List[Tuple[str, str, int, Tuple]] = []
     for i, j in edges:
         cons.append((i, j, w_u[i] - delta_u, ("edge", i, j)))
@@ -243,8 +226,8 @@ def solve_x(
     dist[anchor] = 0
     n = len(dist)
 
-    def relax_pass() -> Optional[str]:
-        hit = None
+    for _ in range(n):
+        last = None
         for idx, (u, v, c, _) in enumerate(cons):
             du = dist[u]
             if du is None:
@@ -253,44 +236,23 @@ def solve_x(
             if dv is None or du + c < dv:
                 dist[v] = du + c
                 pred[v] = idx
-                hit = v
-        return hit
-
-    last = None
-    for _ in range(n):
-        last = relax_pass()
+                last = v
         if last is None:
             missing = sorted(v for v, d in dist.items() if d is None)
             if missing:
                 raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
             return {v: Fraction(d, unit) for v, d in dist.items()}
-    # A relaxation in the n-th pass means a negative cycle.  Any cycle of
-    # predecessor pointers has negative weight, so keep relaxing until the
-    # pointers close one, then report the constraints around it.
-    for _ in range(4 * n + 4):
-        cyc = _pred_cycle(last, pred, cons, n)
-        if cyc is not None:
-            raise HierInfeasibleError("solve_x", cyc)
-        last = relax_pass() or last
-    raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])  # pragma: no cover
-
-
-def _pred_cycle(v: str, pred: Dict[str, int], cons, n: int):
-    """Constraint descriptors around a predecessor-pointer cycle, if any."""
-    x = v
+    # A relaxation in pass n means a negative cycle, and n predecessor steps
+    # back from it land on one: a chain that ended at the anchor would be a
+    # path of under n edges cheaper than every walk of under n edges.
     for _ in range(n):
-        if x not in pred:
-            return None
-        x = cons[pred[x]][0]
-    at: Dict[str, int] = {}
-    trail: List[int] = []
-    while x in pred:
-        if x in at:
-            return [cons[i][3] for i in trail[at[x] :][::-1]]
-        at[x] = len(trail)
-        trail.append(pred[x])
-        x = cons[pred[x]][0]
-    return None
+        last = cons[pred[last]][0]
+    cycle = []
+    v = last
+    while not cycle or v != last:
+        cycle.append(cons[pred[v]][3])
+        v = cons[pred[v]][0]
+    raise HierInfeasibleError("solve_x", cycle[::-1])
 
 
 def default_delta(boxes: Mapping[str, BoxSpec]) -> Fraction:

@@ -88,30 +88,31 @@ def _cyclic_match(seq: Sequence[str], target: Sequence[str]) -> bool:
 def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation]:
     """First structural violation, or None when the instance is well formed."""
     verts = sorted(inst.rotation)
-    if len(set(inst.outer)) != 4 or any(v not in inst.rotation for v in inst.outer):
+    adj = {v: set(rot) for v, rot in inst.rotation.items()}
+    if len(set(inst.outer)) != 4 or any(v not in adj for v in inst.outer):
         return InstanceViolation("outer", f"outer cycle {inst.outer} must be 4 distinct vertices")
     for v in verts:
         if v not in inst.boxes:
             return InstanceViolation("boxes", f"no box for vertex {v!r}")
         rot = inst.rotation[v]
-        if len(set(rot)) != len(rot) or v in rot:
+        if len(adj[v]) != len(rot) or v in adj[v]:
             return InstanceViolation("rotation", f"rotation at {v!r} repeats or loops")
         for u in rot:
-            if u not in inst.rotation or v not in inst.rotation[u]:
+            if u not in adj or v not in adj[u]:
                 return InstanceViolation("rotation", f"edge {v!r}-{u!r} is one-sided")
 
     seen = {verts[0]}
     stack = [verts[0]]
     while stack:
         v = stack.pop()
-        for u in inst.rotation[v]:
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
     if len(seen) != len(verts):
         return InstanceViolation("connected", "graph is not connected")
 
-    n_edges = len(inst.edges())
+    n_edges = sum(len(rot) for rot in inst.rotation.values()) // 2  # each edge listed at both ends
     faces = _trace_faces(inst.rotation)
     if len(verts) - n_edges + len(faces) != 2:
         return InstanceViolation("planar", "rotation system is not a plane embedding")
@@ -121,11 +122,11 @@ def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation
         return InstanceViolation("outer", f"outer cycle {inst.outer} bounds {len(outer_faces)} faces")
     inner = [f for f in faces if f is not outer_faces[0]]
     for f in inner:
-        if len(f) != 3 or len(set(f)) != 3:
+        # three darts of a loopless graph visit three distinct vertices
+        if len(f) != 3:
             return InstanceViolation("faces", f"inner face {f} is not a triangle")
 
     face_tris: Set[frozenset] = {frozenset(f) for f in inner}
-    adj = {v: set(inst.rotation[v]) for v in verts}
     for a in verts:
         for b in sorted(u for u in adj[a] if u > a):
             for c in sorted(u for u in adj[a] & adj[b] if u > b):
@@ -194,7 +195,10 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     inner = sorted(set(inst.rotation) - set(inst.outer))
 
     unit = denominator_lcm(d for b in inst.boxes.values() for d in (b.w, b.h))
-    dims = {v: (int(b.w * unit), int(b.h * unit)) for v, b in inst.boxes.items()}
+    dims = {
+        v: (b.w.numerator * (unit // b.w.denominator), b.h.numerator * (unit // b.h.denominator))
+        for v, b in inst.boxes.items()
+    }
     span = sum(w + h for w, h in dims.values()) + unit
     stair = [(-span, span, vw), (0, span, vw), (0, 0, vs), (span, 0, vs), (span, -span, None)]
     tops: Set[Tuple[int, int]] = set()

@@ -36,7 +36,7 @@ from crown.geometry import (
     denominator_lcm,
     rat,
 )
-from crown.hier import EmbeddedDag, _pred_cycle
+from crown.hier import EmbeddedDag
 from crown.stars import StarInstance, _block_path, _is_planar
 from crown.svg import GRID, _escape, fill_color
 from crown.triangulation import TriangulationInstance, validate_instance
@@ -692,6 +692,24 @@ def solve_x_fraction(
             raise HierInfeasibleError("solve_x", cyc)
         last = relax_pass() or last
     raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])
+
+
+def _pred_cycle(v: str, pred: Dict[str, int], cons, n: int):
+    """Constraint descriptors around a predecessor-pointer cycle, if any."""
+    x = v
+    for _ in range(n):
+        if x not in pred:
+            return None
+        x = cons[pred[x]][0]
+    at: Dict[str, int] = {}
+    trail: List[int] = []
+    while x in pred:
+        if x in at:
+            return [cons[i][3] for i in trail[at[x] :][::-1]]
+        at[x] = len(trail)
+        trail.append(pred[x])
+        x = cons[pred[x]][0]
+    return None
 
 
 Rect = Tuple[Fraction, Fraction, Fraction, Fraction]  # x1, y1, x2, y2

@@ -185,7 +185,7 @@ def test_decompose_bound_matches_max_degree(seed):
     if not g.edges():
         return
     cover = decompose_cycle_covers(g)
-    assert len(cover.covers) <= math.ceil(g.max_degree() / 2)
+    assert len(cover.covers) == math.ceil(g.max_degree() / 2)  # no cover is empty
     _check_partition(cover, g)
 
 
@@ -235,7 +235,9 @@ def test_hub_graphs_reach_the_padding_regime():
 @example([13, 10], 2)
 def test_decompose_matches_per_edge_on_hub_graphs(hub_degrees, seed):
     g = rand_hub_graph(random.Random(seed), hub_degrees)
-    assert decompose_cycle_covers(g) == decompose_cycle_covers_per_edge(g)
+    cover = decompose_cycle_covers(g)
+    assert cover == decompose_cycle_covers_per_edge(g)
+    assert len(cover.covers) == math.ceil(g.max_degree() / 2)
 
 
 def test_decompose_matches_per_edge_on_the_corpus():

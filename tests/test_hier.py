@@ -11,6 +11,7 @@ from crown.errors import HierInfeasibleError, ParameterError
 from crown.geometry import BoxSpec, denominator_lcm, detect_contacts, rat
 from crown.hier import (
     EmbeddedDag,
+    EmbeddingViolation,
     assign_y,
     default_delta,
     solve_hier,
@@ -74,6 +75,17 @@ def test_sweep_orders_predecessors_left_to_right():
     assert ("p", "q") in sweep_order(dag, y)
 
 
+def test_sweep_level_without_an_alive_box_adds_nothing():
+    # c's bottom, -3/2, is a level where no alive box ends (c enters at
+    # -3): the list stays [p, q] and its pair is not emitted again
+    dag = dag_of(
+        [("p", "s"), ("q", "s"), ("c", "p")],
+        {"s": ("p", "q"), "p": ("s", "c"), "q": ("s",), "c": ("p",)},
+    )
+    y = {"s": (0, -1), "p": (-1, -3), "q": (-1, -2), "c": (-3, Fraction(-3, 2))}
+    assert sweep_order(dag, y) == [("p", "q")]
+
+
 def test_solve_x_single_edge_feasible():
     x = solve_x(
         {"s": Fraction(1), "c": Fraction(1)},
@@ -106,6 +118,71 @@ def test_validate_embedding_catches_unknown_vertex():
     dag = EmbeddedDag(("a", "b"), (("b", "a"),), {"a": ("b",), "b": ("a", "zz")})
     v = validate_embedding(dag)
     assert v is not None and v.kind == "rotation"
+
+
+@pytest.mark.parametrize(
+    "edges, rotation, want",
+    [
+        (
+            [("a", "b")],
+            {"a": ("b",), "b": ()},
+            ("rotation", "b", "rotation at 'b' does not list its neighbors"),
+        ),
+        (
+            [("a", "b"), ("b", "c"), ("c", "a")],
+            {"a": ("b", "c"), "b": ("a", "c"), "c": ("a", "b")},
+            ("cycle", "a", "directed cycle through 'a'"),
+        ),
+        (
+            [("c", "a"), ("c", "b")],
+            {"a": ("c",), "b": ("c",), "c": ("a", "b")},
+            ("sink", "a", "expected one sink, found ['a', 'b']"),
+        ),
+        # m's rotation alternates in (p, q) and out (t, s) edges
+        (
+            [("p", "m"), ("q", "m"), ("m", "t"), ("m", "s"), ("t", "s")],
+            {"m": ("p", "t", "q", "s"), "p": ("m",), "q": ("m",), "t": ("m", "s"), "s": ("m", "t")},
+            ("bimodal", "m", "incoming edges not contiguous around 'm'"),
+        ),
+    ],
+    ids=["rotation", "cycle", "sink", "bimodal"],
+)
+def test_validate_embedding_names_each_violation(edges, rotation, want):
+    assert validate_embedding(dag_of(edges, rotation)) == EmbeddingViolation(*want)
+
+
+@st.composite
+def small_digraphs(draw):
+    """A loopless digraph on 1..6 vertices, each rotation a drawn
+    permutation of the vertex's incident edges.  Half the draws point
+    every edge to a later vertex, so that many are acyclic."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    forward = draw(st.booleans())
+    pairs = [(a, b) for a in vs for b in vs if (a < b if forward else a != b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    rotation = {
+        v: tuple(draw(st.permutations([b if a == v else a for a, b in edges if v in (a, b)])))
+        for v in vs
+    }
+    return EmbeddedDag(tuple(vs), tuple(edges), rotation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs())
+def test_valid_embeddings_reach_their_sink(dag):
+    # why validate_embedding has no reach check: acyclic with one sink
+    # already means every vertex reaches it
+    if validate_embedding(dag) is not None:
+        return
+    reach = {dag.sink()}
+    frontier = list(reach)
+    while frontier:
+        v = frontier.pop()
+        for u, w in dag.edges:
+            if w == v and u not in reach:
+                reach.add(u)
+                frontier.append(u)
+    assert reach == set(dag.vertices)
 
 
 def test_validate_embedding_ok():
@@ -256,14 +333,16 @@ def off_grid(rng, hi):
 
 def x_outcome(*args):
     """solve_x and its Fraction reference on the same input must give the
-    same left coordinates (as Fractions), or the same stage and witness;
-    returns "ok" or the stage."""
+    same left coordinates (as Fractions), the same stage and witness, or
+    the same ParameterError; returns "ok", the stage or "parameter"."""
     results = []
     for solver in (solve_x, solve_x_fraction):
         try:
             results.append(("ok", solver(*args)))
         except HierInfeasibleError as err:
             results.append((err.stage, err.witness))
+        except ParameterError as err:
+            results.append(("parameter", str(err)))
     got, want = results
     assert got == want
     if got[0] == "ok":
@@ -294,6 +373,34 @@ def test_solve_x_matches_fraction_reference(seed):
 
 def test_fraction_reference_draws_reach_both_verdicts():
     assert {random_x_outcome(seed) for seed in range(20)} == {"ok", "solve_x"}
+
+
+def random_system_outcome(seed):
+    """x_outcome on an arbitrary system over at most 7 vertices: edges and
+    order pairs drawn at random, self-pairs included, any anchor.  Most
+    draws hold a negative cycle."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(rng.randrange(1, 8))]
+    widths = {v: off_grid(rng, 6) for v in vs}
+
+    def pairs():
+        return [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randrange(2 * len(vs) + 1))]
+
+    return x_outcome(widths, pairs(), pairs(), off_grid(rng, 4), rng.choice(vs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_solve_x_matches_fraction_reference_on_any_system(seed):
+    # solve_x walks n predecessor steps back from the last relaxation with
+    # no fallback; it must name the cycle the reference's loop closes
+    random_system_outcome(seed)
+
+
+def test_arbitrary_systems_are_mostly_negative_cycles():
+    outcomes = [random_system_outcome(seed) for seed in range(100)]
+    assert set(outcomes) == {"ok", "solve_x", "parameter"}
+    assert outcomes.count("solve_x") > 50
 
 
 def test_solve_x_exact_past_a_64_bit_unit():

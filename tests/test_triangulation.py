@@ -64,6 +64,71 @@ def test_k4_fails_outer_check():
     assert v is not None and v.kind == "outer"
 
 
+TRIANGLE = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
+# t0 touches only N and S, leaving two inner quadrangles
+QUADS = {
+    "N": ("E", "t0", "W"),
+    "E": ("S", "N"),
+    "S": ("W", "t0", "E"),
+    "W": ("N", "S"),
+    "t0": ("N", "S"),
+}
+BAD_INSTANCES = {  # name: (rotation, vertex without a box, outer, violation)
+    "boxes": (WHEEL_ROTATION, "t0", "NESW", ("boxes", "no box for vertex 't0'")),
+    "repeat": (
+        {**WHEEL_ROTATION, "E": ("S", "t0", "N", "S")},
+        None,
+        "NESW",
+        ("rotation", "rotation at 'E' repeats or loops"),
+    ),
+    "loop": (
+        {**WHEEL_ROTATION, "E": ("S", "t0", "N", "E")},
+        None,
+        "NESW",
+        ("rotation", "rotation at 'E' repeats or loops"),
+    ),
+    "one-sided": (
+        {**WHEEL_ROTATION, "t0": ("N", "S", "W")},
+        None,
+        "NESW",
+        ("rotation", "edge 'E'-'t0' is one-sided"),
+    ),
+    "connected": (
+        {**WHEEL_ROTATION, **TRIANGLE},
+        None,
+        "NESW",
+        ("connected", "graph is not connected"),
+    ),
+    "planar": (
+        {**WHEEL_ROTATION, "t0": ("N", "S", "E", "W")},
+        None,
+        "NESW",
+        ("planar", "rotation system is not a plane embedding"),
+    ),
+    "outer-distinct": (
+        WHEEL_ROTATION,
+        None,
+        "NNSW",
+        ("outer", "outer cycle ('N', 'N', 'S', 'W') must be 4 distinct vertices"),
+    ),
+    "outer-faces": (
+        WHEEL_ROTATION,
+        None,
+        "NSEW",
+        ("outer", "outer cycle ('N', 'S', 'E', 'W') bounds 0 faces"),
+    ),
+    "faces": (QUADS, None, "NESW", ("faces", "inner face ['E', 'N', 't0', 'S'] is not a triangle")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
+def test_validate_instance_names_each_violation(name):
+    # the separating verdict is pinned by test_separating_triangle_is_named
+    rotation, no_box, outer, want = BAD_INSTANCES[name]
+    dims = {v: (2, 2) for v in rotation if v != no_box}
+    assert validate_instance(inst_of(dims, rotation, tuple(outer))) == InstanceViolation(*want)
+
+
 def test_separating_triangle_is_named():
     # the wheel with z stacked into its face (N, E, t0): that triangle
     # now holds z inside and bounds no face
