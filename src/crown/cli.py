@@ -32,7 +32,6 @@ from .hier import solve_hier
 from .pipeline import (
     document_instance,
     load_corpus,
-    load_stopwords,
     random_baseline,
 )
 from .serialize import (
@@ -165,8 +164,8 @@ def _pct_1dp(realized: Fraction, total: Fraction) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def _bench_document(doc_id, text, args, stopwords):
-    boxes, graph, _labels = document_instance(text, args.k, stopwords)
+def _bench_document(doc_id, text, args):
+    boxes, graph, _labels = document_instance(text, args.k)
     total = graph.total_profit()
     if total == 0:
         return None
@@ -193,7 +192,6 @@ def _bench_document(doc_id, text, args, stopwords):
 
 
 def cmd_bench(args) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     docs = load_corpus(args.corpus)
     unread = sorted(
         {path.stem for path in Path(args.corpus).glob("*.txt")}
@@ -208,7 +206,7 @@ def cmd_bench(args) -> int:
         )
     all_rows, skipped = [], []
     for doc_id, text in docs:
-        rows = _bench_document(doc_id, text, args, stopwords)
+        rows = _bench_document(doc_id, text, args)
         if rows is None:
             skipped.append(doc_id)
         else:
@@ -217,11 +215,8 @@ def cmd_bench(args) -> int:
         return _fail(
             EXIT_MALFORMED, "empty", "every document has no profits", witness=skipped
         )
-    for doc_id in unread:
-        print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
-    for doc_id in skipped:
-        print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
-    # The CSV goes first so that a failed write leaves stdout empty.
+    # The CSV goes first so that a failed write leaves stdout empty and
+    # its report is the only line on stderr.
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(
@@ -239,6 +234,10 @@ def cmd_bench(args) -> int:
             )
             writer.writeheader()
             writer.writerows(all_rows)
+    for doc_id in unread:
+        print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
+    for doc_id in skipped:
+        print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
     n_docs = len({r["doc_id"] for r in all_rows})
     print(f"mean realized profit, k={args.k}, {n_docs} documents")
     for algo in args.algos:
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="corner candidates per star (default 0: sides only)",
     )
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--stopwords", metavar="PATH")
     p_bench.add_argument("--csv", metavar="PATH")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -154,24 +154,6 @@ class Layout:
         self.boxes[box.id] = box
         self.pos[box.id] = (rat(x), rat(y))
 
-    def extent(self, box_id: str) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(x1, x2, y1, y2) of the closed rectangle."""
-        box = self.boxes[box_id]
-        x, y = self.pos[box_id]
-        return (x, x + box.w, y, y + box.h)
-
-    def bbox(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        if not self.pos:
-            z = Fraction(0)
-            return (z, z, z, z)
-        exts = [self.extent(i) for i in self.pos]
-        return (
-            min(e[0] for e in exts),
-            max(e[1] for e in exts),
-            min(e[2] for e in exts),
-            max(e[3] for e in exts),
-        )
-
     def ids(self) -> List[str]:
         return sorted(self.boxes)
 
@@ -223,6 +205,15 @@ def int_extents(layout: Layout) -> Tuple[int, Dict[str, Tuple[int, int, int, int
         h = box.h.numerator * (unit // box.h.denominator)
         exts[i] = (x1, x1 + w, y1, y1 + h)
     return unit, exts
+
+
+def int_bbox(exts: Mapping[str, Tuple[int, int, int, int]]) -> Tuple[int, int, int, int]:
+    """``(min x1, max x2, min y1, max y2)`` over :func:`int_extents`
+    extents, in the same unit; all 0 when there are no boxes."""
+    if not exts:
+        return (0, 0, 0, 0)
+    x1s, x2s, y1s, y2s = zip(*exts.values())
+    return (min(x1s), max(x2s), min(y1s), max(y2s))
 
 
 def detect_contacts(layout: Layout) -> List[Contact]:
@@ -290,14 +281,16 @@ def pack_components(layouts: Iterable[Layout]) -> Layout:
     for component in layouts:
         if not component.pos:
             continue
-        x1, x2, y1, _ = component.bbox()
-        dx = cursor - x1
+        unit, exts = int_extents(component)
+        x1, x2, y1, _ = int_bbox(exts)
+        dx = cursor - Fraction(x1, unit)
+        dy = Fraction(y1, unit)
         for i, (x, y) in component.pos.items():
             if i in merged.boxes:
                 raise DuplicateIdError(i)
             merged.boxes[i] = component.boxes[i]
-            merged.pos[i] = (x + dx, y - y1)
-        cursor += x2 - x1 + 1
+            merged.pos[i] = (x + dx, y - dy)
+        cursor += Fraction(x2 - x1, unit) + 1
     return merged
 
 

@@ -25,15 +25,14 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 from .errors import InvalidInstanceError, ParameterError
 from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm, require_boxes
 
-GRID = Fraction(1, 64)
 COS_GRID = 1 << 20
-# Box sizing: tallest box height, shortest box height, width per letter
+# Box sizing: tallest and shortest box height in 64ths, width per letter
 # as a fraction of the height.
-BASE_H = Fraction(2)
-MIN_H = Fraction(1, 2)
+BASE_H = 128
+MIN_H = 32
 ASPECT = Fraction(11, 20)
 
-DEFAULT_STOPWORDS = frozenset(
+STOP_WORDS = frozenset(
     """
     a about above after again against all am an and any are as at be
     because been before being below between both but by can cannot could
@@ -47,16 +46,6 @@ DEFAULT_STOPWORDS = frozenset(
     you your yours yourself yourselves
     """.split()
 )
-
-
-def load_stopwords(path) -> FrozenSet[str]:
-    """One lowercase word per line, UTF-8; blank lines ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
 
 
 def stem(word: str) -> str:
@@ -103,9 +92,7 @@ _SENTENCE_SPLIT = re.compile(r"[.!?]+\s+")
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 
-def preprocess(text: str, stopwords=None) -> WordStats:
-    if stopwords is None:
-        stopwords = DEFAULT_STOPWORDS
+def preprocess(text: str) -> WordStats:
     freq: Dict[str, int] = {}
     surface: Dict[str, Dict[str, int]] = {}
     sentences: List[FrozenSet[str]] = []
@@ -113,7 +100,7 @@ def preprocess(text: str, stopwords=None) -> WordStats:
         stems = set()
         for raw in raw_sentence.split():
             token = _NON_ALNUM.sub("", raw.lower())
-            if not token or token in stopwords:
+            if not token or token in STOP_WORDS:
                 continue
             s = stem(token)
             freq[s] = freq.get(s, 0) + 1
@@ -173,35 +160,28 @@ def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
     return graph
 
 
-def round64(q: Fraction) -> Fraction:
-    return Fraction(math.floor(q * 64 + Fraction(1, 2)), 64)
-
-
-def _round64_root(x: int, y: int, d: int) -> int:
+def _round_root(x: int, y: int, d: int) -> int:
     """round(x * sqrt(y) / d) for non-negative integers, d > 0."""
     return (isqrt(4 * x * x * y) + d) // (2 * d)
 
 
 def box_dimensions(stats: WordStats, words: Sequence[str]) -> Dict[str, BoxSpec]:
-    """Boxes sized by the square-root law.
+    """Boxes sized by the square-root law, counted in 64ths.
 
-    height = BASE_H * sqrt(freq / max_freq), snapped to the 1/64 grid
-    and clamped to [MIN_H, BASE_H]; width = height * ASPECT * label
-    length, snapped to the same grid.
+    h64 = BASE_H * sqrt(freq / max_freq), rounded to the nearest whole
+    and clamped to [MIN_H, BASE_H]; w64 = h64 * ASPECT * label length,
+    rounded half up and at least 1.  A box is w64/64 by h64/64.
     """
     if not words:
         return {}
     max_freq = max(stats.freq[s] for s in words)
+    a, b = ASPECT.numerator, ASPECT.denominator
     out: Dict[str, BoxSpec] = {}
     for s in words:
-        n64 = _round64_root(
-            64 * BASE_H.numerator,
-            stats.freq[s] * max_freq,
-            BASE_H.denominator * max_freq,
-        )
-        h = min(max(Fraction(n64, 64), MIN_H), BASE_H)
-        w = max(round64(h * ASPECT * len(stats.label[s])), GRID)
-        out[s] = BoxSpec(s, w, h)
+        n64 = _round_root(BASE_H, stats.freq[s] * max_freq, max_freq)
+        h64 = min(max(n64, MIN_H), BASE_H)
+        w64 = max((2 * a * h64 * len(stats.label[s]) + b) // (2 * b), 1)
+        out[s] = BoxSpec(s, Fraction(w64, 64), Fraction(h64, 64))
     return out
 
 
@@ -275,11 +255,11 @@ def load_corpus(directory) -> List[Tuple[str, str]]:
 
 
 def document_instance(
-    text: str, k: int, stopwords=None
+    text: str, k: int
 ) -> Tuple[List[BoxSpec], ProfitGraph, Dict[str, str]]:
     """Boxes (in rank order), profit graph, and display labels for one
     document."""
-    stats = preprocess(text, stopwords)
+    stats = preprocess(text)
     graph = similarity_profits(stats, k)
     stems = top_stems(stats, k)
     dims = box_dimensions(stats, stems)

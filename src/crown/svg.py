@@ -4,18 +4,15 @@ Model coordinates grow upward, SVG coordinates grow downward, so every y
 is emitted as ``-(y + h)``.  All emitted numbers are first snapped to the
 1/64 grid and then written as exact decimals (1/64 = 0.015625 needs six
 fractional digits at most), which keeps the byte stream independent of
-any floating-point formatting.  Box numbers are rounded from integer
+any floating-point formatting.  Every number is rounded from an integer
 numerator and denominator over the layout's unit
 (:func:`crown.geometry.int_extents`), with no Fraction arithmetic.
 """
 
 import zlib
-from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
-from .geometry import Layout, int_extents
-
-GRID = Fraction(1, 64)
+from .geometry import Layout, int_bbox, int_extents
 
 PALETTE = (
     "#4e79a7",
@@ -49,13 +46,9 @@ def _dec64(m: int) -> str:
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
 
 
-def snap64(q: Fraction) -> Fraction:
-    return Fraction(_snap(*q.as_integer_ratio()), 64)
-
-
-def dec(q: Fraction) -> str:
-    """Exact decimal of ``q`` snapped to the 1/64 grid, no trailing zeros."""
-    return _dec64(_snap(*q.as_integer_ratio()))
+def _margin(side: int, unit: int) -> Tuple[int, int]:
+    """``max(side / 20, unit / 64)`` as a numerator and denominator."""
+    return (side, 20) if 64 * side >= 20 * unit else (unit, 64)
 
 
 def _escape(text: str) -> str:
@@ -72,20 +65,18 @@ def fill_color(box_id: str) -> str:
 def render_svg(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
     labels = labels or {}
     unit, exts = int_extents(lay)
-    cols = list(zip(*exts.values())) or [(0,)] * 4  # an empty layout's box is all 0
-    x1, x2, y1, y2 = (Fraction(f(c), unit) for f, c in zip((min, max, min, max), cols))
-    w = x2 - x1
-    h = y2 - y1
-    mx = max(w * Fraction(5, 100), GRID)
-    my = max(h * Fraction(5, 100), GRID)
-    vb_x = snap64(x1 - mx)
-    vb_y = snap64(-(y2 + my))
-    vb_w = snap64(w + 2 * mx)
-    vb_h = snap64(h + 2 * my)
-    stroke = dec(max(snap64(min(vb_w, vb_h) / 200), GRID))
+    x1, x2, y1, y2 = int_bbox(exts)
+    # Margins: 5% of each side, at least 1/64, as n / (d * unit).
+    mxn, mxd = _margin(x2 - x1, unit)
+    myn, myd = _margin(y2 - y1, unit)
+    vb_x = _snap(x1 * mxd - mxn, unit * mxd)
+    vb_y = _snap(-(y2 * myd + myn), unit * myd)
+    vb_w = _snap((x2 - x1) * mxd + 2 * mxn, unit * mxd)
+    vb_h = _snap((y2 - y1) * myd + 2 * myn, unit * myd)
+    stroke = _dec64(max(_snap(min(vb_w, vb_h), 12800), 1))  # 1/200 of the side
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{dec(vb_x)} {dec(vb_y)} {dec(vb_w)} {dec(vb_h)}" '
+        f'viewBox="{_dec64(vb_x)} {_dec64(vb_y)} {_dec64(vb_w)} {_dec64(vb_h)}" '
         'font-family="sans-serif">'
     ]
     ids = sorted(exts)

@@ -19,6 +19,7 @@ import networkx as nx
 
 from crown.cycles import CycleCover
 from crown.errors import (
+    DuplicateIdError,
     HierInfeasibleError,
     InvalidInstanceError,
     OverlapError,
@@ -38,7 +39,8 @@ from crown.geometry import (
 )
 from crown.hier import EmbeddedDag
 from crown.stars import StarInstance, _block_path, _is_planar
-from crown.svg import GRID, _escape, fill_color
+from crown.pipeline import ASPECT, WordStats, _round_root
+from crown.svg import _escape, fill_color
 from crown.triangulation import TriangulationInstance, validate_instance
 
 IRect = Tuple[int, int, int, int]  # x1, y1, x2, y2
@@ -834,10 +836,52 @@ def realize_triangulation_fraction(inst: TriangulationInstance) -> Layout:
     return lay
 
 
+GRID = Fraction(1, 64)
+
+
+def layout_extent(layout: Layout, box_id: str) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(x1, x2, y1, y2) of the closed rectangle."""
+    box = layout.boxes[box_id]
+    x, y = layout.pos[box_id]
+    return (x, x + box.w, y, y + box.h)
+
+
+def layout_bbox(layout: Layout) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """``geometry.int_bbox`` on Fraction extents."""
+    if not layout.pos:
+        z = Fraction(0)
+        return (z, z, z, z)
+    exts = [layout_extent(layout, i) for i in layout.pos]
+    return (
+        min(e[0] for e in exts),
+        max(e[1] for e in exts),
+        min(e[2] for e in exts),
+        max(e[3] for e in exts),
+    )
+
+
+def pack_components_fraction(layouts) -> Layout:
+    """``geometry.pack_components`` with the bounding boxes on Fractions."""
+    merged = Layout()
+    cursor = Fraction(0)
+    for component in layouts:
+        if not component.pos:
+            continue
+        x1, x2, y1, _ = layout_bbox(component)
+        dx = cursor - x1
+        for i, (x, y) in component.pos.items():
+            if i in merged.boxes:
+                raise DuplicateIdError(i)
+            merged.boxes[i] = component.boxes[i]
+            merged.pos[i] = (x + dx, y - y1)
+        cursor += x2 - x1 + 1
+    return merged
+
+
 def detect_contacts_fraction(layout: Layout) -> List[Contact]:
     """``geometry.detect_contacts`` with the sweep on Fraction extents."""
     ids = sorted(layout.pos)
-    exts = {i: layout.extent(i) for i in ids}
+    exts = {i: layout_extent(layout, i) for i in ids}
     order = sorted(ids, key=lambda i: (exts[i][0], i))
     active: List[str] = []
     contacts: List[Contact] = []
@@ -864,12 +908,12 @@ def detect_contacts_fraction(layout: Layout) -> List[Contact]:
 
 
 def snap64_fraction(q: Fraction) -> Fraction:
-    """``svg.snap64`` by Fraction division and ``round``."""
+    """``svg._snap`` (counted in 64ths) by Fraction division and ``round``."""
     return Fraction(round(q / GRID), 1) * GRID
 
 
 def dec_fraction(q: Fraction) -> str:
-    """``svg.dec`` on Fractions."""
+    """``svg._dec64`` of ``svg._snap`` on Fractions."""
     q = snap64_fraction(q)
     sign = "-" if q < 0 else ""
     n = abs(q.numerator) * (1000000 // q.denominator)
@@ -882,7 +926,7 @@ def dec_fraction(q: Fraction) -> str:
 def render_svg_fraction(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:
     """``svg.render_svg`` with every number computed on Fractions."""
     labels = labels or {}
-    x1, x2, y1, y2 = lay.bbox()
+    x1, x2, y1, y2 = layout_bbox(lay)
     w = x2 - x1
     h = y2 - y1
     mx = max(w * Fraction(5, 100), GRID)
@@ -920,6 +964,30 @@ def render_svg_fraction(lay: Layout, labels: Optional[Mapping[str, str]] = None)
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def box_dimensions_fraction(stats: WordStats, words: Sequence[str]) -> Dict[str, BoxSpec]:
+    """``pipeline.box_dimensions`` with heights and widths as Fractions."""
+    BASE_H = Fraction(2)
+    MIN_H = Fraction(1, 2)
+
+    def round64(q: Fraction) -> Fraction:
+        return Fraction(math.floor(q * 64 + Fraction(1, 2)), 64)
+
+    if not words:
+        return {}
+    max_freq = max(stats.freq[s] for s in words)
+    out: Dict[str, BoxSpec] = {}
+    for s in words:
+        n64 = _round_root(
+            64 * BASE_H.numerator,
+            stats.freq[s] * max_freq,
+            BASE_H.denominator * max_freq,
+        )
+        h = min(max(Fraction(n64, 64), MIN_H), BASE_H)
+        w = max(round64(h * ASPECT * len(stats.label[s])), GRID)
+        out[s] = BoxSpec(s, w, h)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -396,8 +396,8 @@ def test_bad_parameter_exits_2(tmp_path, argv):
         ["layout", "{tri}", "-o", "{missing}/x.json"],
         ["layout", "{tri}", "--svg", "{missing}/x.svg"],
         ["bench", "{corpus}", "--csv", "{missing}/x.csv"],
-        ["bench", "{corpus}", "--stopwords", "{missing}/stop.txt"],
-        ["bench", "{corpus}", "--stopwords", "{latin1}"],
+        ["bench", "{warned}", "--csv", "{missing}/x.csv"],  # warns, then fails
+        ["bench", "{corpus}", "--csv", "{corpus}"],  # a directory
         ["bench", "{flat}"],
         ["layout", "{tri}", "--eps", "1/0"],
         ["bench", "{corpus}", "--k", "7"],
@@ -415,8 +415,10 @@ def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):
     )
     flat.mkdir()
     (flat / "doc.txt").write_text("alpha. beta. gamma.\n", encoding="utf-8")
-    latin1 = tmp_path / "stop.txt"
-    latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+    warned = tmp_path / "warned"  # one good and one empty document
+    warned.mkdir()
+    (warned / "coffee.txt").write_text((corpus / "doc.txt").read_text(), encoding="utf-8")
+    (warned / "empty.txt").write_text("", encoding="utf-8")
     unread = tmp_path / "unread"  # one empty and one non-UTF-8 document
     unread.mkdir()
     (unread / "a.txt").write_text("", encoding="utf-8")
@@ -426,7 +428,7 @@ def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):
         corpus=corpus,
         flat=flat,
         unread=unread,
-        latin1=latin1,
+        warned=warned,
         missing=tmp_path / "missing",
     )
     try:

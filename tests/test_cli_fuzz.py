@@ -4,8 +4,9 @@ exit 3, and only exit 3, reports a ``stage`` and a list or object witness.
 Each example takes a valid instance, DAG or triangulation document,
 applies a few random edits (replace a value at any depth, delete a key
 or list entry) and random flag values, runs ``main`` in-process and
-checks the contract.  An exception escaping ``main`` fails the test
-just as a traceback would.
+checks the contract.  ``bench`` runs on a tiny corpus with random flag
+values instead.  An exception escaping ``main`` fails the test just as
+a traceback would.
 """
 
 import copy
@@ -152,6 +153,23 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _check_contract(code, out, err):
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        report = json.loads(lines[0])
+        assert set(report) >= {"error", "detail"}
+        # exit 3 <=> the report names its stage and carries a data witness
+        if code == 3:
+            assert "stage" in report, report
+            assert isinstance(report.get("witness"), (list, dict)), report
+        else:
+            assert "stage" not in report, report
+
+
 @pytest.mark.parametrize("command", sorted(BASE))
 @settings(
     max_examples=60,
@@ -172,17 +190,43 @@ def test_cli_contract_holds_on_mutated_input(command, data):
         if data.draw(st.booleans(), label="--svg"):
             argv += ["--svg", str(Path(tmp) / data.draw(st.sampled_from(["a.svg", "no/a.svg"])))]
         code, out, err = _run(argv)
-    assert code in (0, 2, 3), (code, err)
-    assert "Traceback" not in err
-    if code != 0:
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1, err
-        report = json.loads(lines[0])
-        assert set(report) >= {"error", "detail"}
-        # exit 3 <=> the report names its stage and carries a data witness
-        if code == 3:
-            assert "stage" in report, report
-            assert isinstance(report.get("witness"), (list, dict)), report
-        else:
-            assert "stage" not in report, report
+    _check_contract(code, out, err)
+
+
+BENCH_FLAGS = [
+    ("--k", st.sampled_from(["50", "100", "7", "x"])),
+    ("--algos", st.sampled_from(
+        ["", "random", "cycle-cover,random", "star-forest", "random,random", "nope", "random,"]
+    )),
+    ("--eps", st.sampled_from(RATIONALS)),
+    ("--corners", st.sampled_from(["-1", "0", "1", "4", "x"])),
+    ("--seed", st.sampled_from(["-5", "0", "7", "1.5"])),
+    ("--csv", st.sampled_from(["out.csv", "no/out.csv", "."])),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bench_contract_holds(data):
+    # One readable document, one that is not UTF-8 and one of stop-words
+    # only: a successful run warns about the last two on stderr.
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp)
+        (corpus / "doc.txt").write_text(
+            "alpha beta gamma. alpha beta. beta gamma delta. delta alpha.\n", encoding="utf-8"
+        )
+        (corpus / "latin.txt").write_bytes("caf\xe9 au lait.\n".encode("latin-1"))
+        (corpus / "stop.txt").write_text("the and of. to a in it.\n", encoding="utf-8")
+        argv = ["bench", str(corpus)]
+        for flag, values in BENCH_FLAGS:
+            if data.draw(st.booleans(), label=flag):
+                value = data.draw(values, label=flag)
+                argv += [flag, str(corpus / value) if flag == "--csv" else value]
+        code, out, err = _run(argv)
+    _check_contract(code, out, err)
+    if code == 0:
+        assert out.startswith("mean realized profit")
+        assert err.splitlines() == [
+            "warning: latin: unreadable or empty, skipped",
+            "warning: stop: no profits, skipped",
+        ], err

@@ -27,7 +27,7 @@ from crown.geometry import (
 )
 
 from fixtures_extremal import contact_pairs
-from oracles import COPRIME_DENS, detect_contacts_fraction, rand_layout
+from oracles import COPRIME_DENS, detect_contacts_fraction, pack_components_fraction, rand_layout
 
 
 def box(i, w, h):
@@ -198,6 +198,25 @@ def test_pack_components_never_creates_cross_contacts(n1, n2):
     packed = pack_components([first, second])
     for a, b in contact_pairs(packed):
         assert a[0] == b[0], f"cross-component contact {a}-{b}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_pack_components_matches_the_fraction_oracle(seed):
+    # Components with pairwise-coprime denominators, negative coordinates
+    # and now and then an empty one: the same boxes at the same places.
+    rng = random.Random(seed)
+    components = []
+    for c in range(rng.randrange(5)):
+        part = rand_layout(rng, rng.randrange(5),
+                           scale=Fraction(1, rng.choice(COPRIME_DENS)))
+        renamed = Layout()
+        for i, b in part.boxes.items():
+            renamed.place(BoxSpec(f"c{c}{i}", b.w, b.h), *part.pos[i])
+        components.append(renamed)
+    got = pack_components(components)
+    want = pack_components_fraction(components)
+    assert got.boxes == want.boxes and got.pos == want.pos
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,25 +5,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown.errors import ParameterError
 from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit
 from crown.pipeline import (
+    WordStats,
     box_dimensions,
     document_instance,
     load_corpus,
     preprocess,
     random_baseline,
-    round64,
     similarity_profits,
     stem,
     top_stems,
 )
 from crown.serialize import dumps_doc, layout_to_doc
 
-from oracles import random_baseline_fraction
+from oracles import box_dimensions_fraction, random_baseline_fraction
 
 
 def test_stemming_merges_plural():
@@ -98,7 +98,37 @@ def test_box_dimensions_aspect_example():
     dims = box_dimensions(stats, ["weird"])
     b = dims["weird"]
     assert b.h == 2  # max-frequency word gets base height
-    assert b.w == round64(Fraction(11, 20) * 2 * 5)  # 5 letters, aspect 11/20
+    assert b.w == Fraction(11, 2)  # 5 letters, aspect 11/20
+    assert dims == box_dimensions_fraction(stats, ["weird"])
+
+
+def test_box_width_rounds_ties_up():
+    # freq 15 of 100 gives h64 = round(128 * sqrt(0.15)) = 50; one letter
+    # is 50 * 11/20 = 27.5 64ths wide, which rounds up to 28.
+    stats = WordStats({"a": 100, "b": 15}, {"a": "a", "b": "b"}, ())
+    dims = box_dimensions(stats, ["a", "b"])
+    assert dims["b"].h == Fraction(50, 64)
+    assert dims["b"].w == Fraction(28, 64)
+    assert dims == box_dimensions_fraction(stats, ["a", "b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=15)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([(100, 1), (15, 1)])  # h64 = 50, one letter: the 27.5 -> 28 tie
+def test_box_dimensions_match_the_fraction_oracle(words):
+    stats = WordStats(
+        {f"w{i}": f for i, (f, _) in enumerate(words)},
+        {f"w{i}": "x" * n for i, (_, n) in enumerate(words)},
+        (),
+    )
+    ids = list(stats.freq)
+    assert box_dimensions(stats, ids) == box_dimensions_fraction(stats, ids)
 
 
 def test_box_height_scales_with_sqrt_frequency():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crown.geometry import BoxSpec, Layout, rat
-from crown.svg import dec, fill_color, render_svg, snap64
+from crown.svg import _dec64, _snap, fill_color, render_svg
 
 from oracles import COPRIME_DENS, dec_fraction, rand_layout, render_svg_fraction, snap64_fraction
 
@@ -39,14 +39,23 @@ def test_fill_color_stable_and_well_formed():
     assert c.startswith("#") and len(c) == 7
 
 
+def dec(q: Fraction) -> str:
+    """``q`` on the 1/64 grid, as ``render_svg`` writes it."""
+    return _dec64(_snap(*q.as_integer_ratio()))
+
+
+def snap64(q: Fraction) -> Fraction:
+    return Fraction(_snap(*q.as_integer_ratio()), 64)
+
+
 def test_snap64_quantizes():
-    assert snap64(Fraction(1, 3)) == Fraction(21, 64)
-    assert snap64(Fraction(5, 2)) == Fraction(5, 2)
+    assert _snap(1, 3) == 21
+    assert _snap(5, 2) == 160
 
 
 def test_dec_never_uses_exponents():
     for q in (Fraction(1, 64), Fraction(350, 100), Fraction(7)):
-        s = dec(snap64(q))
+        s = dec(q)
         assert "e" not in s and "E" not in s
 
 
@@ -95,9 +104,10 @@ def test_dec_rounds_ties_to_even(q, want):
     ),
 )
 def test_dec_matches_the_fraction_oracle(n, d):
+    # render_svg passes unreduced numerators and denominators.
     q = Fraction(n, d)
-    assert dec(q) == dec_fraction(q)
-    assert snap64(q) == snap64_fraction(q)
+    assert _dec64(_snap(n, d)) == dec_fraction(q)
+    assert Fraction(_snap(n, d), 64) == snap64_fraction(q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,3 +119,26 @@ def test_render_matches_the_fraction_oracle(seed):
     lay = rand_layout(rng, rng.randrange(8), scale=scale)
     labels = {bid: f"<{bid}&>" for bid in lay.pos if rng.random() < 0.5}
     assert render_svg(lay, labels) == render_svg_fraction(lay, labels)
+
+
+def test_render_empty_layout():
+    # No boxes: the bounding box is all 0 and both margins are the 1/64 floor.
+    out = render_svg(Layout())
+    assert out == render_svg_fraction(Layout())
+    assert out == (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-0.015625 -0.015625 0.03125 0.03125" font-family="sans-serif">\n'
+        "</svg>\n"
+    )
+
+
+@pytest.mark.parametrize("w", [Fraction(19, 64), Fraction(5, 16), Fraction(21, 64)])
+def test_render_margin_floor_boundary(w):
+    # 5/16 is where 64 * w == 20 * unit (unit 16): w/20 equals the 1/64
+    # floor, and the two sides of the boundary take one margin each.
+    lay = Layout()
+    lay.place(BoxSpec("a", w, rat(3)), rat(0), rat(0))
+    out = render_svg(lay)
+    assert out == render_svg_fraction(lay)
+    if w == Fraction(5, 16):
+        assert 'viewBox="-0.015625 -3.15625 0.34375 3.296875"' in out
