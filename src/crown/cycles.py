@@ -19,7 +19,6 @@ from .geometry import (
     ProfitGraph,
     pack_components,
     require_boxes,
-    singleton_layout,
 )
 
 Edge = Tuple[str, str]
@@ -314,7 +313,6 @@ def max_crown_cycles(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout
     require_boxes(graph.vertices, boxes)
     decomposition = decompose_cycle_covers(graph)
     components: List[Layout] = []
-    covered: set = set()
     if decomposition.covers:
         profits = [
             decomposition.cover_profit(graph, i)
@@ -322,10 +320,6 @@ def max_crown_cycles(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout
         ]
         chosen = decomposition.covers[profits.index(max(profits))]
         for kind, order in _cover_components(chosen):
-            covered.update(order)
             seq = [boxes[v] for v in order]
             components.append(layout_cycle(seq) if kind == "cycle" else layout_path(seq))
-    for v in sorted(boxes):
-        if v not in covered:
-            components.append(singleton_layout(boxes[v]))
-    return pack_components(components)
+    return pack_components(components, boxes)

@@ -25,16 +25,14 @@ MAX_KNAPSACK_TOP = 1 << 20
 @dataclass(frozen=True)
 class GapItem:
     id: str
-    sizes: Tuple[Fraction, ...]   # one entry per bin
-    values: Tuple[Fraction, ...]  # one entry per bin
+    sizes: Tuple[Fraction, ...]  # one entry per bin
+    value: Fraction  # earned in whichever bin takes the item
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(rat(s) for s in self.sizes))
-        object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
-        if len(self.sizes) != len(self.values):
-            raise ParameterError("sizes and values must align")
-        if any(s < 0 for s in self.sizes) or any(v < 0 for v in self.values):
-            raise ParameterError("sizes and values must be non-negative")
+        object.__setattr__(self, "value", rat(self.value))
+        if any(s < 0 for s in self.sizes) or self.value < 0:
+            raise ParameterError("sizes and value must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -146,26 +144,16 @@ def knapsack_fptas(items: Sequence[Tuple[Fraction, Fraction]], capacity, eps) ->
 def gap_sequential(inst: GapInstance, eps) -> GapAssignment:
     """Sequential knapsack rounds, one per bin in input order.
 
-    Each bin bids on every item at its residual gain: the item's value in
-    this bin minus whatever it currently earns in an earlier bin.  Strict
-    gainers selected by the knapsack FPTAS move into the current bin.
-    Moving an item out of a processed bin only frees capacity there, so
-    feasibility is preserved, and since each move strictly increases the
-    item's earned value the final total is at least beta/(beta+1) times
-    the optimum, beta = 1 - eps.  When every item is worth the same in
-    all bins no move ever fires and this is plain leftover packing.
+    Each bin packs, with the knapsack FPTAS, the items of positive value
+    that no earlier bin took.  With beta = 1 - eps the total is at least
+    beta/(beta+1) times the optimum.
     """
     n = len(inst.items)
     where: List[int] = [-1] * n
     for b, cap in enumerate(inst.capacities):
-        pool_ids, pool = [], []
-        for i, item in enumerate(inst.items):
-            gain = item.values[b]
-            if where[i] >= 0:
-                gain -= item.values[where[i]]
-            if gain.numerator > 0:  # the sign without a Fraction comparison
-                pool_ids.append(i)
-                pool.append((item.sizes[b], gain))
+        pool_ids = [i for i, item in enumerate(inst.items)
+                    if where[i] < 0 and item.value.numerator > 0]
+        pool = [(inst.items[i].sizes[b], inst.items[i].value) for i in pool_ids]
         for j in knapsack_fptas(pool, cap, eps):
             where[pool_ids[j]] = b
     by_bin = tuple(
@@ -173,8 +161,5 @@ def gap_sequential(inst: GapInstance, eps) -> GapAssignment:
         for b in range(len(inst.capacities))
     )
     unassigned = tuple(inst.items[i].id for i in range(n) if where[i] < 0)
-    value = sum(
-        (inst.items[i].values[where[i]] for i in range(n) if where[i] >= 0),
-        Fraction(0),
-    )
+    value = sum((inst.items[i].value for i in range(n) if where[i] >= 0), Fraction(0))
     return GapAssignment(by_bin, unassigned, value)

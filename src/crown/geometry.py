@@ -129,9 +129,6 @@ class ProfitGraph:
             deg[b] += 1
         return deg
 
-    def max_degree(self) -> int:
-        return max(self.degrees().values(), default=0)
-
 
 def require_boxes(vertices: Iterable[str], boxes: Mapping[str, BoxSpec]) -> None:
     """ParameterError naming the first of ``vertices``, in sorted order,
@@ -270,8 +267,9 @@ def contact_profit(contacts: Iterable[Contact], graph: ProfitGraph) -> Fraction:
     return total
 
 
-def pack_components(layouts: Iterable[Layout]) -> Layout:
-    """Set component layouts side by side, 1 apart, bottoms aligned.
+def pack_components(layouts: Iterable[Layout], boxes: Mapping[str, BoxSpec]) -> Layout:
+    """Set component layouts side by side, 1 apart, bottoms aligned; then
+    every box of ``boxes`` that no component holds, alone, in id order.
 
     Rigid translation only: contacts inside each component are preserved and
     no contact between components can appear.
@@ -291,10 +289,7 @@ def pack_components(layouts: Iterable[Layout]) -> Layout:
             merged.boxes[i] = component.boxes[i]
             merged.pos[i] = (x + dx, y - dy)
         cursor += Fraction(x2 - x1, unit) + 1
+    for i in sorted(boxes.keys() - merged.boxes.keys()):
+        merged.place(boxes[i], cursor, 0)
+        cursor += boxes[i].w + 1
     return merged
-
-
-def singleton_layout(box: BoxSpec) -> Layout:
-    lay = Layout()
-    lay.place(box, 0, 0)
-    return lay

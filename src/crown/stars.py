@@ -33,7 +33,6 @@ from .geometry import (
     rat,
     realized_profit,
     require_boxes,
-    singleton_layout,
 )
 
 
@@ -145,7 +144,7 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
     # One GAP item per leaf, shared by every corner subset.
     side_bins = (c.w, c.w, c.h, c.h)
     items = [
-        GapItem(leaf.id, (leaf.w, leaf.w, leaf.h, leaf.h), (inst.profits[leaf.id],) * 4)
+        GapItem(leaf.id, (leaf.w, leaf.w, leaf.h, leaf.h), inst.profits[leaf.id])
         for leaf in inst.leaves
     ]
     best = None
@@ -332,23 +331,17 @@ def solve_star_forest(
     """
     require_boxes(graph.vertices, boxes)
     components: List[Layout] = []
-    used = set()
     for star in forest.stars:
         for leaf in star.leaves:
             if not graph.has_edge(star.center, leaf):
                 raise ParameterError(f"star edge {star.center!r}-{leaf!r} is not in the graph")
-        used.add(star.center)
-        used.update(star.leaves)
         inst = StarInstance(
             boxes[star.center],
             tuple(boxes[l] for l in star.leaves),
             {l: graph.profit(star.center, l) for l in star.leaves},
         )
         components.append(solve_star(inst, eps, corner_candidates))
-    for v in sorted(boxes):
-        if v not in used:
-            components.append(singleton_layout(boxes[v]))
-    return pack_components(components)
+    return pack_components(components, boxes)
 
 
 def max_crown_stars(
@@ -371,7 +364,7 @@ def max_crown_stars(
     require_boxes(graph.vertices, boxes)
     forests = partition_planar(graph)
     if not forests:
-        return pack_components([singleton_layout(boxes[v]) for v in sorted(boxes)])
+        return pack_components([], boxes)
     best_lay = None
     best_val = None
     for forest in forests:

@@ -80,7 +80,7 @@ def gap_brute(inst: GapInstance) -> Fraction:
         for b in range(len(caps)):
             if it.sizes[b] <= caps[b]:
                 caps[b] -= it.sizes[b]
-                go(i + 1, value + it.values[b])
+                go(i + 1, value + it.value)
                 caps[b] += it.sizes[b]
 
     go(0, Fraction(0))
@@ -114,7 +114,7 @@ def gap_exact(inst: GapInstance) -> GapAssignment:
             i = low.bit_length() - 1
             rest = mask ^ low
             sizes[mask] = sizes[rest] + inst.items[i].sizes[b]
-            values[mask] = values[rest] + inst.items[i].values[b]
+            values[mask] = values[rest] + inst.items[i].value
         cap = inst.capacities[b]
         feas_val.append([values[m] if sizes[m] <= cap else None for m in range(full)])
 
@@ -362,20 +362,13 @@ def knapsack_fptas_unpruned(
 
 
 def gap_sequential_unpruned(inst: GapInstance, eps) -> GapAssignment:
-    """``gap.gap_sequential`` over ``knapsack_fptas_unpruned``, with each
-    bin's pool built from a separate list of earned values."""
+    """``gap.gap_sequential`` over ``knapsack_fptas_unpruned``, with the
+    positive-value test on Fraction comparisons."""
     n = len(inst.items)
     where: List[int] = [-1] * n
     for b, cap in enumerate(inst.capacities):
-        earned = [
-            inst.items[i].values[where[i]] if where[i] >= 0 else Fraction(0)
-            for i in range(n)
-        ]
-        pool_ids = [i for i in range(n) if inst.items[i].values[b] > earned[i]]
-        pool = [
-            (inst.items[i].sizes[b], inst.items[i].values[b] - earned[i])
-            for i in pool_ids
-        ]
+        pool_ids = [i for i in range(n) if where[i] < 0 and inst.items[i].value > 0]
+        pool = [(inst.items[i].sizes[b], inst.items[i].value) for i in pool_ids]
         for j in knapsack_fptas_unpruned(pool, cap, eps):
             where[pool_ids[j]] = b
     by_bin = tuple(
@@ -383,10 +376,7 @@ def gap_sequential_unpruned(inst: GapInstance, eps) -> GapAssignment:
         for b in range(len(inst.capacities))
     )
     unassigned = tuple(inst.items[i].id for i in range(n) if where[i] < 0)
-    value = sum(
-        (inst.items[i].values[where[i]] for i in range(n) if where[i] >= 0),
-        Fraction(0),
-    )
+    value = sum((inst.items[i].value for i in range(n) if where[i] >= 0), Fraction(0))
     return GapAssignment(by_bin, unassigned, value)
 
 
@@ -598,12 +588,17 @@ def _perfect_matching_tuple(lefts, out_edges) -> List[int]:
     return sorted(eid for _, eid in match_of_head.values())
 
 
+def max_degree(graph: ProfitGraph) -> int:
+    """The largest vertex degree of ``graph``, 0 without vertices."""
+    return max(graph.degrees().values(), default=0)
+
+
 def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
     """``cycles.decompose_cycle_covers`` on (copy, vertex) tuple nodes."""
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:
         return CycleCover(())
-    k = -(-graph.max_degree() // 2)
+    k = -(-max_degree(graph) // 2)
 
     nodes = sorted((copy, v) for copy in (0, 1) for v in graph.vertices)
     tails, heads, tag = [], [], []

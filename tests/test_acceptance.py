@@ -41,6 +41,7 @@ from fixtures_extremal import (
 )
 from oracles import (
     hier_feasible,
+    max_degree,
     rand_degree_graph,
     rand_embedded_dag,
     rand_guillotine_dual,
@@ -141,7 +142,7 @@ def test_criterion_1_cycle_cover_bound(criterion):
             Fraction(0),
         )
         contact_list(rects)  # overlap guard
-        bound = g.total_profit() / math.ceil(g.max_degree() / 2)
+        bound = g.total_profit() / math.ceil(max_degree(g) / 2)
         worst = min(worst, got / bound)
         assert got >= bound
     elapsed = time.monotonic() - start

@@ -403,6 +403,7 @@ def test_bad_parameter_exits_2(tmp_path, argv):
         ["bench", "{corpus}", "--k", "7"],
         ["frobnicate"],
         ["bench", "{unread}"],
+        ["bench", "{corpus}", "--eps", "1/4"],  # bench runs at fixed settings
     ],
 )
 def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):

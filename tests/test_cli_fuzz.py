@@ -198,9 +198,6 @@ BENCH_FLAGS = [
     ("--algos", st.sampled_from(
         ["", "random", "cycle-cover,random", "star-forest", "random,random", "nope", "random,"]
     )),
-    ("--eps", st.sampled_from(RATIONALS)),
-    ("--corners", st.sampled_from(["-1", "0", "1", "4", "x"])),
-    ("--seed", st.sampled_from(["-5", "0", "7", "1.5"])),
     ("--csv", st.sampled_from(["out.csv", "no/out.csv", "."])),
 ]
 

@@ -69,8 +69,8 @@ def test_gap_two_bin_example():
     inst = GapInstance(
         capacities=(Fraction(2), Fraction(2)),
         items=(
-            GapItem("A", (Fraction(2), Fraction(2)), (Fraction(5), Fraction(1))),
-            GapItem("B", (Fraction(2), Fraction(2)), (Fraction(4), Fraction(4))),
+            GapItem("A", (Fraction(2), Fraction(2)), Fraction(5)),
+            GapItem("B", (Fraction(2), Fraction(2)), Fraction(4)),
         ),
     )
     asg = gap_sequential(inst, EPS)
@@ -80,11 +80,11 @@ def test_gap_two_bin_example():
 
 def test_gap_exact_guard():
     many = tuple(
-        GapItem(f"i{k}", (Fraction(1),), (Fraction(1),)) for k in range(13)
+        GapItem(f"i{k}", (Fraction(1),), Fraction(1)) for k in range(13)
     )
     with pytest.raises(TooLargeError):
         gap_exact(GapInstance((Fraction(5),), many))
-    few = (GapItem("i", (Fraction(1),) * 5, (Fraction(1),) * 5),)
+    few = (GapItem("i", (Fraction(1),) * 5, Fraction(1)),)
     with pytest.raises(TooLargeError):
         gap_exact(GapInstance((Fraction(1),) * 5, few))
 
@@ -93,9 +93,9 @@ def test_gap_exact_matches_brute_force_example():
     inst = GapInstance(
         capacities=(Fraction(3), Fraction(4)),
         items=(
-            GapItem("a", (Fraction(2), Fraction(3)), (Fraction(4), Fraction(5))),
-            GapItem("b", (Fraction(2), Fraction(1)), (Fraction(3), Fraction(2))),
-            GapItem("c", (Fraction(1), Fraction(2)), (Fraction(1), Fraction(6))),
+            GapItem("a", (Fraction(2), Fraction(3)), Fraction(5)),
+            GapItem("b", (Fraction(2), Fraction(1)), Fraction(3)),
+            GapItem("c", (Fraction(1), Fraction(2)), Fraction(6)),
         ),
     )
     assert gap_exact(inst).value == gap_brute(inst)
@@ -126,11 +126,7 @@ def gap_instances(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     caps = tuple(draw(fracs) for _ in range(bins))
     items = tuple(
-        GapItem(
-            f"i{k}",
-            tuple(draw(fracs) for _ in range(bins)),
-            tuple(draw(fracs) for _ in range(bins)),
-        )
+        GapItem(f"i{k}", tuple(draw(fracs) for _ in range(bins)), draw(fracs))
         for k in range(n)
     )
     return GapInstance(caps, items)
@@ -198,11 +194,7 @@ def gap_cases(draw):
     items = []
     for k in range(draw(st.integers(min_value=0, max_value=7))):
         sizes = tuple(draw(rationals) for _ in range(bins))
-        if draw(st.booleans()):
-            values = (draw(rationals),) * bins  # as solve_star builds them
-        else:
-            values = tuple(draw(rationals) for _ in range(bins))
-        items.append(GapItem(f"i{k}", sizes, values))
+        items.append(GapItem(f"i{k}", sizes, draw(rationals)))
     return GapInstance(caps, items), draw(eps_values)
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crown.cycles import max_crown_cycles
 from crown.errors import DuplicateIdError, OverlapError, ParameterError
 from crown.geometry import (
     BoxSpec,
@@ -23,8 +24,8 @@ from crown.geometry import (
     pack_components,
     rat,
     realized_profit,
-    singleton_layout,
 )
+from crown.stars import max_crown_stars
 
 from fixtures_extremal import contact_pairs
 from oracles import COPRIME_DENS, detect_contacts_fraction, pack_components_fraction, rand_layout
@@ -125,7 +126,7 @@ def test_realized_profit_counts_only_contact_edges():
 def test_pack_components_keeps_parts_apart():
     a = lay(("a", 2, 2, 0, 0), ("b", 2, 2, 2, 0))
     c = lay(("c", 1, 1, 0, 0))
-    packed = pack_components([a, c])
+    packed = pack_components([a, c], {})
     pairs = contact_pairs(packed)
     assert ("a", "b") in pairs
     assert all("c" not in p for p in pairs)
@@ -133,7 +134,7 @@ def test_pack_components_keeps_parts_apart():
 
 def test_pack_components_rejects_duplicate_ids():
     with pytest.raises(DuplicateIdError):
-        pack_components([singleton_layout(box("x", 1, 1)), singleton_layout(box("x", 2, 2))])
+        pack_components([lay(("x", 1, 1, 0, 0)), lay(("x", 2, 2, 0, 0))], {})
 
 
 coords = st.integers(min_value=0, max_value=6)
@@ -195,7 +196,7 @@ def test_pack_components_never_creates_cross_contacts(n1, n2):
     second = Layout()
     for i in range(n2):
         second.place(box(f"b{i}", 1, 2), rat(0), rat(2 * i))
-    packed = pack_components([first, second])
+    packed = pack_components([first, second], {})
     for a, b in contact_pairs(packed):
         assert a[0] == b[0], f"cross-component contact {a}-{b}"
 
@@ -204,7 +205,11 @@ def test_pack_components_never_creates_cross_contacts(n1, n2):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_pack_components_matches_the_fraction_oracle(seed):
     # Components with pairwise-coprime denominators, negative coordinates
-    # and now and then an empty one: the same boxes at the same places.
+    # and now and then an empty one, or none at all.  The box map holds
+    # boxes no component places, under ids that sort among the placed
+    # ones, and some boxes a component already places.  The oracle packs
+    # the unplaced ones as one-box layouts after the components, in id
+    # order: the same boxes at the same places, none placed twice.
     rng = random.Random(seed)
     components = []
     for c in range(rng.randrange(5)):
@@ -214,9 +219,31 @@ def test_pack_components_matches_the_fraction_oracle(seed):
         for i, b in part.boxes.items():
             renamed.place(BoxSpec(f"c{c}{i}", b.w, b.h), *part.pos[i])
         components.append(renamed)
-    got = pack_components(components)
-    want = pack_components_fraction(components)
+    placed = [b for part in components for b in part.boxes.values()]
+    loose = [
+        BoxSpec(f"{rng.choice('bcd')}{k}", Fraction(rng.randint(1, 40), rng.choice(COPRIME_DENS)), 1)
+        for k in range(rng.randrange(5))
+    ]
+    chosen = rng.sample(placed, rng.randint(0, len(placed))) + loose
+    rng.shuffle(chosen)
+    boxes = {b.id: b for b in chosen}
+    got = pack_components(components, boxes)
+    singles = [lay((b.id, b.w, b.h, 0, 0)) for b in sorted(loose, key=lambda b: b.id)]
+    want = pack_components_fraction(components + singles)
     assert got.boxes == want.boxes and got.pos == want.pos
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, boxes: max_crown_stars(g, boxes, Fraction(1, 2)),
+    max_crown_cycles,
+], ids=["stars", "cycles"])
+def test_edgeless_graphs_place_every_box(solve):
+    # Two vertices without edges and a box outside the graph: every box
+    # in id order, 1 apart, bottoms on y = 0.
+    boxes = {"c": box("c", 1, 3), "a": box("a", 2, 1), "b": box("b", "1/2", 2)}
+    got = solve(ProfitGraph("ab"), boxes)
+    assert got.boxes == boxes
+    assert got.pos == {"a": (0, 0), "b": (3, 0), "c": (Fraction(9, 2), 0)}
 
 
 @settings(max_examples=300, deadline=None)
