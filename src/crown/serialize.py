@@ -276,6 +276,8 @@ def loads_doc(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}")
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
     return doc

@@ -29,6 +29,7 @@ from .geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
+    denominator_lcm,
     pack_components,
     rat,
     realized_profit,
@@ -72,10 +73,11 @@ class StarForest:
         return [(s.center, leaf) for s in self.stars for leaf in s.leaves]
 
 
-# solve_star runs one GAP solve per corner subset of up to 4 pool leaves,
-# Theta(pool**4) in all: at eps 1/4, random 12-, 16- and 20-leaf stars took
-# 0.3, 1 and 4 s (2-core x86 VM, CPython 3.11).  Larger pools need a
-# corner_candidates cap.
+# solve_star runs one GAP solve per corner subset of up to 4 pool leaves
+# that the corner bound does not skip, Theta(pool**4) in all: at eps 1/4,
+# 12-, 16- and 20-leaf stars where no subset is skipped (leaves of sides
+# 5/8 to 1 around a unit center) took 0.1, 0.45 and 1.3 s (2-core x86 VM,
+# CPython 3.11).  Larger pools need a corner_candidates cap.
 MAX_CORNER_POOL = 12
 
 # Corner slots for the chosen corner boxes, in the fixed assignment order.
@@ -121,7 +123,9 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
 
     Enumerates corner subsets of up to 4 leaves (smallest-index-tuple wins
     ties), packs the rest into the four side bins with gap_sequential, and
-    returns the most profitable layout.  Leaves that end up unassigned are
+    returns the most profitable layout.  A subset is skipped when its
+    corner profit plus the profit of the other leaves that fit a side is
+    at most the best so far.  Leaves that end up unassigned are
     parked in a detached row below everything, touching nothing.
     ``corner_candidates`` restricts the corner pool (a speed knob for
     large stars; leave None to keep the guarantee).  Raises ParameterError
@@ -141,17 +145,30 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
         s for r in range(min(4, len(pool)) + 1) for s in itertools.combinations(pool, r)
     )
 
-    # One GAP item per leaf, shared by every corner subset.
-    side_bins = (c.w, c.w, c.h, c.h)
-    items = [
-        GapItem(leaf.id, (leaf.w, leaf.w, leaf.h, leaf.h), inst.profits[leaf.id])
-        for leaf in inst.leaves
-    ]
+    # One GAP item per leaf, shared by every corner subset, on integer
+    # sizes over one unit and integer profits over another: scaling keeps
+    # every comparison, so the choice is that of the Fraction values.
+    unit = denominator_lcm([c.w, c.h, *(b for leaf in inst.leaves for b in (leaf.w, leaf.h))])
+    pay = denominator_lcm(inst.profits[leaf.id] for leaf in inst.leaves)
+
+    def whole(q, d):
+        return q.numerator * (d // q.denominator)
+
+    cw, ch = whole(c.w, unit), whole(c.h, unit)
+    side_bins = (cw, cw, ch, ch)
+    items, fits = [], []
+    for leaf in inst.leaves:
+        w, h, p = whole(leaf.w, unit), whole(leaf.h, unit), whole(inst.profits[leaf.id], pay)
+        items.append(GapItem(leaf.id, (w, w, h, h), p))
+        fits.append(p if w <= cw or h <= ch else 0)  # what a side can earn
+    fit_total = sum(fits)
     best = None
     for corners in subsets:
-        corner_value = sum(
-            (inst.profits[inst.leaves[i].id] for i in corners), Fraction(0)
-        )
+        corner_value = sum(items[i].value for i in corners)
+        if best is not None and (
+            corner_value + fit_total - sum(fits[i] for i in corners) <= best[0]
+        ):
+            continue  # the GAP cannot beat best; a tie keeps the earlier subset
         gi = GapInstance(
             side_bins, tuple(item for i, item in enumerate(items) if i not in corners)
         )
@@ -235,19 +252,40 @@ def partition_tree(edges: Sequence[Tuple[str, str]]) -> Tuple[StarForest, StarFo
 
 
 def _tree_path(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
-    """Edge ids on the path between a and b in a forest given as vertex ->
-    {neighbour: edge id}; a and b must share a tree."""
-    via: Dict[int, Optional[Tuple[int, int]]] = {a: None}  # vertex -> (previous vertex, edge)
-    queue = deque([a])
-    while b not in via:
-        v = queue.popleft()
-        for w, e in adj[v].items():
-            if w not in via:
-                via[w] = (v, e)
-                queue.append(w)
+    """Edge ids on the path from b to a in a forest given as vertex ->
+    {neighbour: edge id}; a and b must share a tree.
+
+    Searches breadth first from both ends, a level at a time from the
+    smaller frontier, until a vertex is reached from both; the tree path
+    is unique, so the meeting vertex splits it.
+    """
+    via = ({a: None}, {b: None})  # per end: vertex -> (vertex toward that end, edge)
+    fronts = [[a], [b]]
+    meet = a if a == b else None
+    while meet is None:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        seen, other = via[side], via[1 - side]
+        level = []
+        for v in fronts[side]:
+            for w, e in adj[v].items():
+                if w not in seen:
+                    seen[w] = (v, e)
+                    if w in other:
+                        meet = w
+                        break
+                    level.append(w)
+            if meet is not None:
+                break
+        fronts[side] = level
     path = []
-    while via[b] is not None:
-        b, e = via[b]
+    v = meet
+    while via[1][v] is not None:  # meet back to b, reversed below
+        v, e = via[1][v]
+        path.append(e)
+    path.reverse()
+    v = meet
+    while via[0][v] is not None:
+        v, e = via[0][v]
         path.append(e)
     return path
 

@@ -11,6 +11,7 @@ integer solutions whenever they have any).
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -27,7 +28,7 @@ from crown.errors import (
     TooLargeError,
     TriangulationInfeasibleError,
 )
-from crown.gap import MAX_KNAPSACK_TOP, GapAssignment, GapInstance, check_eps
+from crown.gap import MAX_KNAPSACK_TOP, GapAssignment, GapInstance, GapItem, check_eps
 from crown.geometry import (
     BoxSpec,
     Contact,
@@ -38,7 +39,15 @@ from crown.geometry import (
     rat,
 )
 from crown.hier import EmbeddedDag
-from crown.stars import StarInstance, _block_path, _is_planar
+from crown.stars import (
+    _CORNER_OFFSETS,
+    MAX_CORNER_POOL,
+    StarInstance,
+    _block_path,
+    _check_star_params,
+    _corner_pool,
+    _is_planar,
+)
 from crown.pipeline import ASPECT, WordStats, _round_root
 from crown.svg import _escape, fill_color
 from crown.triangulation import TriangulationInstance, validate_instance
@@ -235,6 +244,94 @@ def star_opt(inst: StarInstance) -> Fraction:
                     break
                 tb = (tb - 1) & rem
     return best
+
+
+def solve_star_fraction(inst: StarInstance, eps, corner_candidates: Optional[int] = None) -> Layout:
+    """``stars.solve_star`` on Fraction sizes and profits, solving every
+    corner subset with ``gap_sequential_unpruned``."""
+    eps = _check_star_params(eps, corner_candidates)
+    c = inst.center
+    pool = _corner_pool(inst, corner_candidates)
+    if len(pool) > MAX_CORNER_POOL:
+        raise TooLargeError(
+            f"corner enumeration accepts at most {MAX_CORNER_POOL} candidate "
+            f"leaves (got {len(pool)}); cap it with corner_candidates"
+        )
+    subsets = sorted(
+        s for r in range(min(4, len(pool)) + 1) for s in combinations(pool, r)
+    )
+
+    # One GAP item per leaf, shared by every corner subset.
+    side_bins = (c.w, c.w, c.h, c.h)
+    items = [
+        GapItem(leaf.id, (leaf.w, leaf.w, leaf.h, leaf.h), inst.profits[leaf.id])
+        for leaf in inst.leaves
+    ]
+    best = None
+    for corners in subsets:
+        corner_value = sum(
+            (inst.profits[inst.leaves[i].id] for i in corners), Fraction(0)
+        )
+        gi = GapInstance(
+            side_bins, tuple(item for i, item in enumerate(items) if i not in corners)
+        )
+        asg = gap_sequential_unpruned(gi, eps)
+        value = corner_value + asg.value
+        if best is None or value > best[0]:
+            best = (value, corners, asg)
+
+    _, corners, asg = best
+    lay = Layout()
+    lay.place(c, 0, 0)
+    by_id = {leaf.id: leaf for leaf in inst.leaves}
+    for (_, offset), i in zip(_CORNER_OFFSETS, corners):
+        leaf = inst.leaves[i]
+        lay.place(leaf, *offset(c.w, c.h, leaf))
+
+    top, bottom, left, right = asg.by_bin
+    x = Fraction(0)
+    for i in top:
+        lay.place(by_id[i], x, c.h)
+        x += by_id[i].w
+    x = Fraction(0)
+    for i in bottom:
+        lay.place(by_id[i], x, -by_id[i].h)
+        x += by_id[i].w
+    y = Fraction(0)
+    for i in left:
+        lay.place(by_id[i], -by_id[i].w, y)
+        y += by_id[i].h
+    y = Fraction(0)
+    for i in right:
+        lay.place(by_id[i], c.w, y)
+        y += by_id[i].h
+
+    if asg.unassigned:
+        floor = min(lay.pos[i][1] for i in lay.pos) - 1
+        x = Fraction(0)
+        for i in asg.unassigned:
+            lay.place(by_id[i], x, floor - by_id[i].h)
+            x += by_id[i].w + 1
+    return lay
+
+
+def tree_path_from_one_end(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
+    """Edge ids on the path between a and b in a forest given as vertex ->
+    {neighbour: edge id}, from b back to a; a and b must share a tree.
+    ``stars._tree_path`` searching breadth first from a alone."""
+    via: Dict[int, Optional[Tuple[int, int]]] = {a: None}  # vertex -> (previous vertex, edge)
+    queue = deque([a])
+    while b not in via:
+        v = queue.popleft()
+        for w, e in adj[v].items():
+            if w not in via:
+                via[w] = (v, e)
+                queue.append(w)
+    path = []
+    while via[b] is not None:
+        b, e = via[b]
+        path.append(e)
+    return path
 
 
 def is_planar_nx(n: int, edges: Sequence[Tuple[int, int]]) -> bool:

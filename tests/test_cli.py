@@ -390,6 +390,26 @@ def test_bad_parameter_exits_2(tmp_path, argv):
     assert json.loads(lines[0])["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("command", ["layout", "hier", "tri"])
+def test_deeply_nested_json_is_a_format_error(tmp_path, command, depth):
+    # The JSON decoder recurses once per level and hits the interpreter's
+    # recursion limit near 1,000 levels.
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"boxes": ' + "[" * depth + "]" * depth + ', "edges": []}', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crown.cli", command, str(doc)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(lines[0])["error"] == "format"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

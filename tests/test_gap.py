@@ -12,6 +12,7 @@ from crown.gap import (
     GapInstance,
     GapItem,
     gap_sequential,
+    _pareto_step,
     knapsack_fptas,
 )
 
@@ -167,18 +168,30 @@ def outcome(solve, *args):
         return type(exc)
 
 
+# Item draws: rationals, plain ints (the unit stars pass), or a few small
+# ints, so that many DP states share a value or a size.
+ints = st.integers(min_value=0, max_value=40)
+NUMBERS = {
+    "rational": (rationals, rationals),
+    "int": (ints, ints),
+    "tied": (st.integers(min_value=0, max_value=2), st.integers(min_value=1, max_value=3)),
+}
+
+
 @st.composite
 def knapsack_cases(draw):
-    items = draw(st.lists(st.tuples(rationals, rationals), max_size=8))
+    kind = draw(st.sampled_from(sorted(NUMBERS)))
+    sizes, values = NUMBERS[kind]
+    items = draw(st.lists(st.tuples(sizes, values), max_size=12 if kind == "tied" else 8))
     if items and draw(st.booleans()):
         items += [items[0]] * draw(st.integers(min_value=1, max_value=3))  # ties
     k = draw(st.integers(min_value=0, max_value=len(items)))
-    tight = sum((s for s, _ in items[:k]), Fraction(0))
-    capacity = draw(st.sampled_from((tight, Fraction(0), Fraction(-1))) | rationals)
+    tight = sum(s for s, _ in items[:k])
+    capacity = draw(st.sampled_from((tight, 0, -1)) | sizes)
     return items, capacity, draw(eps_values)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(knapsack_cases())
 def test_knapsack_fptas_matches_unpruned(case):
     items, capacity, eps = case
@@ -189,17 +202,78 @@ def test_knapsack_fptas_matches_unpruned(case):
 
 @st.composite
 def gap_cases(draw):
+    sizes, values = NUMBERS[draw(st.sampled_from(sorted(NUMBERS)))]
     bins = draw(st.integers(min_value=1, max_value=4))
-    caps = tuple(draw(rationals) for _ in range(bins))
+    caps = tuple(draw(sizes) for _ in range(bins))
     items = []
     for k in range(draw(st.integers(min_value=0, max_value=7))):
-        sizes = tuple(draw(rationals) for _ in range(bins))
-        items.append(GapItem(f"i{k}", sizes, draw(rationals)))
+        items.append(GapItem(f"i{k}", tuple(draw(sizes) for _ in range(bins)), draw(values)))
     return GapInstance(caps, items), draw(eps_values)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(gap_cases())
 def test_gap_sequential_matches_unpruned(case):
     inst, eps = case
     assert outcome(gap_sequential, inst, eps) == outcome(gap_sequential_unpruned, inst, eps)
+
+
+def test_gap_keeps_int_values_and_fraction_values_apart():
+    ints = GapInstance((2, 2), (GapItem("A", (2, 2), 5), GapItem("B", (2, 2), 4)))
+    asg = gap_sequential(ints, EPS)
+    assert asg.by_bin == (("A",), ("B",)) and type(asg.value) is int
+    fracs = GapInstance(
+        (Fraction(2), Fraction(2)),
+        (GapItem("A", (Fraction(2), Fraction(2)), Fraction(5, 3)),),
+    )
+    assert gap_sequential(fracs, EPS).value == Fraction(5, 3)
+    assert type(GapItem("s", ("1/2",), "3").value) is Fraction
+
+
+def pareto_front(states):
+    """The (value, size, tuple) states not beaten: at each value the least
+    (size, tuple), then only those smaller than every higher value's size."""
+    least = {}
+    for v, s, t in states:
+        if v not in least or (s, t) < least[v]:
+            least[v] = (s, t)
+    front, floor = [], None
+    for v in sorted(least, reverse=True):
+        s, t = least[v]
+        if floor is None or s < floor:
+            front.append((v, s, t))
+            floor = s
+    return front[::-1]
+
+
+@st.composite
+def fronts(draw):
+    states = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=12),
+                st.lists(st.integers(min_value=0, max_value=5), max_size=3, unique=True)
+                .map(sorted)
+                .map(tuple),
+            ),
+            max_size=10,
+        )
+    )
+    return pareto_front([(0, 0, ()), *states])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fronts(),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-1, max_value=14),
+)
+def test_pareto_step_is_the_front_of_the_union(front, size, value, room):
+    # The item's index 6 sorts after every index in the drawn tuples, as
+    # in the DP, so equal-value ties are decided the same way.
+    offered = [(v + value, s + size, t + (6,)) for v, s, t in front if s <= room]
+    got = _pareto_step(front, 6, size, value, room)
+    assert got == pareto_front(front + offered)
+    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(got, got[1:]))

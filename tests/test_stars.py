@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import crown
 from crown import stars
 from crown.errors import NotATreeError, NotPlanarError, ParameterError, TooLargeError
+from crown.gap import gap_sequential
 from crown.geometry import BoxSpec, ProfitGraph, rat, realized_profit
 from crown.pipeline import document_instance, load_corpus
 from crown.stars import (
@@ -45,7 +46,9 @@ from oracles import (
     rand_stacked_triangulation,
     rand_star_instance,
     rand_tree,
+    solve_star_fraction,
     star_opt,
+    tree_path_from_one_end,
 )
 
 EPS = Fraction(1, 10)
@@ -252,6 +255,53 @@ def test_partition_planar_keeps_the_tree_split_of_a_forest(seed, tied):
     profits = [rng.randrange(3) if tied else rng.randrange(1, 10**6) for _ in edges]
     g = ProfitGraph([f"t{i}" for i in range(n)], dict(zip(edges, profits)))
     assert partition_planar(g) == [f for f in partition_tree(edges) if f.stars]
+
+
+def random_forest(rng, n):
+    """Vertex -> {neighbour: edge id} over a random recursive tree on n
+    vertices with about a sixth of its edges dropped, edge ids shuffled."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+    ids = rng.sample(range(len(pairs)), len(pairs))
+    adj = [{} for _ in range(n)]
+    for e, (a, b) in zip(ids, pairs):
+        adj[a][b] = adj[b][a] = e
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_tree_path_matches_the_one_ended_search(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 80)
+    adj = random_forest(rng, n)
+    for _ in range(30):
+        a = b = rng.randrange(n)
+        for _ in range(rng.randrange(12)):  # a random walk stays in a's tree
+            b = rng.choice(list(adj[b]) or [b])
+        assert stars._tree_path(adj, a, b) == tree_path_from_one_end(adj, a, b)
+
+
+@lru_cache(maxsize=None)
+def corpus_planar(k):
+    return [(doc_id, maximal_planar_subgraph(g)) for doc_id, g in corpus_graphs(k)]
+
+
+def stacked_graph(n):
+    rng = random.Random(n)
+    edges = rand_stacked_triangulation(rng, n)
+    return ProfitGraph([f"s{i}" for i in range(n)], {e: rng.randrange(1, 10) for e in edges})
+
+
+@pytest.mark.parametrize(
+    "source, size",
+    [("corpus", 50), ("corpus", 100), ("stacked", 300), ("stacked", 1000), ("stacked", 3000)],
+)
+def test_partition_planar_matches_the_one_ended_tree_path(source, size):
+    graphs = corpus_planar(size) if source == "corpus" else [("stacked", stacked_graph(size))]
+    for name, g in graphs:
+        got = partition_planar(g)
+        with mock.patch.object(stars, "_tree_path", tree_path_from_one_end):
+            assert partition_planar(g) == got, name
 
 
 def unit_boxes(ids):
@@ -578,6 +628,79 @@ def test_solve_star_meets_oracle_bound(data):
     lay = solve_star(inst, EPS)
     got = realized_profit(lay, graph_of(inst))
     assert got >= ALPHA * star_opt(inst)
+
+
+# Sides with the denominators of box sizes: leaves from 1/64 up to 12
+# and centers from 1 to 6, so that some leaves fit one side or none.
+DENS = (1, 2, 3, 4, 5, 6, 7, 64)
+
+
+def sides(lo, hi):
+    """Rationals over one of DENS, at least 1/64, in [lo, hi]."""
+    return st.sampled_from(DENS).flatmap(
+        lambda d: st.integers(max(1, lo * d), hi * d).map(lambda k: Fraction(k, d))
+    )
+
+
+profits = st.builds(
+    Fraction, st.integers(min_value=0, max_value=9), st.sampled_from((1, 2, 3, 5, 7, 10))
+)
+
+
+@st.composite
+def star_cases(draw):
+    leaves = draw(st.integers(min_value=0, max_value=9))
+    inst = StarInstance(
+        BoxSpec("c", draw(sides(1, 6)), draw(sides(1, 6))),
+        tuple(BoxSpec(f"l{i}", draw(sides(0, 12)), draw(sides(0, 12))) for i in range(leaves)),
+        {f"l{i}": draw(profits) for i in range(leaves)},
+    )
+    cap = draw(st.none() | st.integers(min_value=0, max_value=4))
+    # The unpruned oracle's table grows with leaves^2 / eps, times the
+    # leaves^4 corner subsets when the pool is uncapped.
+    pool = leaves if cap is None else min(cap, leaves)
+    least = max(1, leaves * leaves * (1 + pool) ** 2 // 64)
+    eps = Fraction(draw(st.integers(min_value=least, max_value=999)), 1000)
+    return inst, eps, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_cases())
+def test_solve_star_matches_fraction_oracle(case):
+    inst, eps, cap = case
+    got = solve_star(inst, eps, cap)
+    want = solve_star_fraction(inst, eps, cap)
+    assert list(got.pos.items()) == list(want.pos.items())
+    assert list(got.boxes.items()) == list(want.boxes.items())
+
+
+@pytest.mark.parametrize(
+    "inst, solves",
+    [
+        # No corners already earns all 3: every corner subset's bound ties it.
+        (star((4, 4), [(1, 1)] * 3), 1),
+        # Four leaves fit no side: (), (0,), (0, 1), (0, 1, 2) and
+        # (0, 1, 2, 3) each raise the bound past the best so far.
+        (star((2, 1), [(5, 5)] * 4), 5),
+        # The two unit leaves count toward every subset's bound.
+        (star((2, 2), [(1, 1), (5, 5), (1, 1)], {"l0": 2, "l1": 3, "l2": 2}), 2),
+        # l1 fits the top only, and still counts: (0,) must be solved, or
+        # (0, 1) wins with the same value and both leaves on corners.
+        (star((2, 2), [(5, 5), (1, 5)], {"l0": 1, "l1": 4}), 2),
+    ],
+    ids=["ties", "no-side", "two-fit", "one-side"],
+)
+def test_corner_bound_skips_subsets_that_cannot_win(inst, solves):
+    calls = []
+
+    def counting(gi, eps):
+        calls.append(gi)
+        return gap_sequential(gi, eps)
+
+    with mock.patch.object(stars, "gap_sequential", counting):
+        lay = solve_star(inst, EPS)
+    assert len(calls) == solves
+    assert list(lay.pos.items()) == list(solve_star_fraction(inst, EPS).pos.items())
 
 
 @settings(max_examples=25, deadline=None)
