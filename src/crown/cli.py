@@ -4,9 +4,9 @@ Four subcommands: ``layout`` (profit-graph instances), ``hier``
 (embedded DAGs), ``tri`` (plane triangulations) and ``bench`` (corpus
 experiment).  The commands raise; ``main`` alone turns an error into
 one JSON line on stderr and an exit code: 2 means a malformed input,
-command line or parameter, or a file that cannot be read or written; 3
-means the instance was valid but has no layout, and the report carries
-the failing ``stage`` and its ``witness``.
+command line or parameter, a file that cannot be read or written, or a
+number too long to write; 3 means the instance was valid but has no
+layout, and the report carries the failing ``stage`` and its ``witness``.
 """
 
 import argparse
@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     HierInfeasibleError,
     InvalidInstanceError,
+    TooLargeError,
     TriangulationInfeasibleError,
 )
 from .geometry import ProfitGraph, realized_profit
@@ -74,7 +75,7 @@ def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
     if stage is not None:
         report["stage"] = stage
     if witness is not None:
-        report["witness"] = _jsonable(witness)
+        report["witness"] = witness
     print(json.dumps(report), file=sys.stderr)
     return code
 
@@ -313,9 +314,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HierInfeasibleError, TriangulationInfeasibleError) as exc:
-        return _fail(
-            EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, exc.witness
-        )
+        try:  # encode first: a witness too long to write is exit 2
+            witness = _jsonable(exc.witness)
+        except TooLargeError as big:
+            return _fail(EXIT_MALFORMED, type(big).__name__, str(big))
+        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, witness)
     except FormatError as exc:
         return _fail(EXIT_MALFORMED, "format", str(exc))
     except InvalidInstanceError as exc:

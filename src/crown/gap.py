@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .errors import ParameterError, TooLargeError
-from .geometry import denominator_lcm, rat
+from .geometry import rat
 
 # Largest scaled value total the knapsack may reach (top is about
 # n^2 / eps).  The DP keeps only its Pareto front, at most one state per
@@ -77,14 +77,17 @@ def check_eps(eps) -> Fraction:
     return eps
 
 
-def knapsack_fptas(items: Sequence[Tuple[Number, Number]], capacity, eps) -> Tuple[int, ...]:
+def knapsack_fptas(
+    items: Sequence[Tuple[Number, Number]], capacity: Number, eps
+) -> Tuple[int, ...]:
     """(1-eps)-approximate 0/1 knapsack; returns chosen item indices.
 
     Standard value-scaling dynamic program: values are floored to multiples
     of K = eps * v_max / n and the DP minimizes size per scaled value.
-    Sizes, values and the capacity may be ints or Fractions; scaling every
-    value, or every size and the capacity, by one factor leaves the
-    answer unchanged.  The DP keeps its Pareto front: states (scaled
+    Sizes, values and the capacity may be ints or Fractions.  Sizes enter
+    the DP as given, and the floor is exact for both types, so scaling
+    every value, or every size and the capacity, by one positive factor
+    leaves the answer unchanged.  The DP keeps its Pareto front: states (scaled
     value, size, index tuple) with values and sizes both strictly rising,
     each fitting the capacity.  Each item merges the front with the
     states that can still take it; at equal values the smaller (size,
@@ -115,16 +118,10 @@ def knapsack_fptas(items: Sequence[Tuple[Number, Number]], capacity, eps) -> Tup
         return ()
     n = len(usable)
 
-    # Integer sizes over one unit, and each value floored to a multiple of
-    # K: v / K = v * n * eps.den * v_max.den / (eps.num * v_max.num).
-    den = denominator_lcm([capacity, *(s for _, s, _ in usable)])
-    cap_i = capacity.numerator * (den // capacity.denominator)
-    mul = n * eps.denominator * v_max.denominator
-    div = eps.numerator * v_max.numerator
-    scaled = [
-        (idx, s.numerator * (den // s.denominator), v.numerator * mul // (v.denominator * div))
-        for idx, s, v in usable
-    ]
+    # Each value floored to a multiple of K: v / K = v * n * eps.den /
+    # (eps.num * v_max), exact for ints and Fractions alike.
+    mul, div = n * eps.denominator, eps.numerator * v_max
+    scaled = [(idx, s, v * mul // div) for idx, s, v in usable]
 
     top = sum(sv for _, _, sv in scaled)
     if top > MAX_KNAPSACK_TOP:
@@ -135,19 +132,19 @@ def knapsack_fptas(items: Sequence[Tuple[Number, Number]], capacity, eps) -> Tup
     front = [(0, 0, ())]
     for idx, size_i, val_i in scaled:
         if val_i:  # a value-0 item only adds size to a state of the same value
-            front = _pareto_step(front, idx, size_i, val_i, cap_i - size_i)
+            front = _pareto_step(front, idx, size_i, val_i, capacity - size_i)
     return front[-1][2]
 
 
-def _pareto_step(front, idx: int, size_i: int, val_i: int, room: int):
+def _pareto_step(front, idx: int, size_i: Number, val_i: int, room: Number):
     """The front after offering item ``idx`` (size_i, val_i > 0) to every
     state of ``front`` whose size is at most ``room``.
 
-    Both lists hold (value, size, index tuple) with values and sizes
-    strictly rising.  Dropping a state at no smaller size than a higher
-    value's cannot move the answer: any items that extend it extend the
-    other to a higher value at no larger size.  An extended state that
-    an old one beats gets no tuple built.
+    Both lists hold (value, size, index tuple) with int values and int or
+    Fraction sizes, both strictly rising.  Dropping a state at no smaller
+    size than a higher value's cannot move the answer: any items that
+    extend it extend the other to a higher value at no larger size.  An
+    extended state that an old one beats gets no tuple built.
     """
     out = []
     k, n = 0, len(front)  # front[k] is the first old state not yet placed

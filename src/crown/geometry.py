@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import DuplicateIdError, OverlapError, ParameterError
 
@@ -47,6 +47,17 @@ def denominator_lcm(values: Iterable) -> int:
     """Least common multiple of the denominators of ints and Fractions (1
     when there are none): the smallest unit that makes every value whole."""
     return math.lcm(*(v.denominator for v in values))
+
+
+def on_unit(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """``(unit, counts)``: ``unit`` is the :func:`denominator_lcm` of the
+    ints and Fractions ``values``, and ``counts`` holds each value, in
+    order, as a whole number of ``1/unit``.  Scaling by the positive
+    ``unit`` keeps every sum and comparison, so exact integer code can
+    run on the counts and turn back with ``Fraction(count, unit)``."""
+    values = list(values)
+    unit = denominator_lcm(values)
+    return unit, [v.numerator * (unit // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -187,21 +198,17 @@ def _classify(ax1, ax2, ay1, ay2, bx1, bx2, by1, by2):
 
 def int_extents(layout: Layout) -> Tuple[int, Dict[str, Tuple[int, int, int, int]]]:
     """``(unit, {id: (x1, x2, y1, y2)})``: every extent of the layout as a
-    whole multiple of ``1/unit``, the :func:`denominator_lcm` of all
-    positions and dimensions."""
+    whole multiple of ``1/unit``, with :func:`on_unit` over all positions
+    and dimensions."""
     boxes = layout.boxes
-    unit = denominator_lcm(
+    unit, counts = on_unit(
         v for i, (x, y) in layout.pos.items() for v in (x, y, boxes[i].w, boxes[i].h)
     )
-    exts = {}
-    for i, (x, y) in layout.pos.items():
-        box = boxes[i]
-        x1 = x.numerator * (unit // x.denominator)
-        y1 = y.numerator * (unit // y.denominator)
-        w = box.w.numerator * (unit // box.w.denominator)
-        h = box.h.numerator * (unit // box.h.denominator)
-        exts[i] = (x1, x1 + w, y1, y1 + h)
-    return unit, exts
+    quads = iter(counts)  # four counts per box, in the order of layout.pos
+    return unit, {
+        i: (x1, x1 + w, y1, y1 + h)
+        for i, x1, y1, w, h in zip(layout.pos, quads, quads, quads, quads)
+    }
 
 
 def int_bbox(exts: Mapping[str, Tuple[int, int, int, int]]) -> Tuple[int, int, int, int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HierInfeasibleError, ParameterError
-from .geometry import BoxSpec, Layout, denominator_lcm, rat, require_boxes
+from .geometry import BoxSpec, Layout, on_unit, rat, require_boxes
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,8 @@ def solve_x(
     """
     delta = rat(delta)
     widths = {v: rat(w) for v, w in widths.items()}
-    unit = denominator_lcm([delta, *widths.values()])
-    w_u = {v: w.numerator * (unit // w.denominator) for v, w in widths.items()}
-    delta_u = delta.numerator * (unit // delta.denominator)
+    unit, (delta_u, *counts) = on_unit([delta, *widths.values()])
+    w_u = dict(zip(widths, counts))
     cons: List[Tuple[str, str, int, Tuple]] = []
     for i, j in edges:
         cons.append((i, j, w_u[i] - delta_u, ("edge", i, j)))

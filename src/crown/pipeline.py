@@ -23,7 +23,7 @@ from random import Random
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidInstanceError, ParameterError
-from .geometry import BoxSpec, Layout, ProfitGraph, denominator_lcm, require_boxes
+from .geometry import BoxSpec, Layout, ProfitGraph, on_unit, require_boxes
 
 COS_GRID = 1 << 20
 # Box sizing: tallest and shortest box height in 64ths, width per letter
@@ -196,8 +196,8 @@ def random_baseline(
     overlaps nothing already placed.
 
     The overlap test runs on exact integers: every coordinate is counted
-    in units of 1/unit, where unit = lcm(64, 2 * den(w), 2 * den(h)) over
-    all boxes, so spiral centers and half-widths are whole units even for
+    in units of 1/unit, with ``on_unit`` over the 1/64 grid step and every
+    half-side, so spiral centers and half-sides are whole units even for
     boxes off the 1/64 grid.  Only the spiral itself is float: its
     centers are the float expression round(r * cos * 64) / 64 that has
     always defined this baseline's output, and an exact spiral would
@@ -210,13 +210,12 @@ def random_baseline(
     lay = Layout()
     if not order:
         return lay
-    unit = math.lcm(64, 2 * denominator_lcm(d for b in order for d in (b.w, b.h)))
-    step = unit // 64
+    unit, (step, *halves) = on_unit(
+        [Fraction(1, 64), *(d / 2 for b in order for d in (b.w, b.h))]
+    )
     placed: List[Tuple[int, int, int, int]] = []
     pitch = float(max(max(b.w for b in order), max(b.h for b in order)) / 4)
-    for b in order:
-        hw = b.w.numerator * (unit // (2 * b.w.denominator))
-        hh = b.h.numerator * (unit // (2 * b.h.denominator))
+    for b, hw, hh in zip(order, halves[::2], halves[1::2]):
         theta0 = rng.random() * 2 * math.pi
         k = 0
         while True:

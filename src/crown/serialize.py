@@ -1,8 +1,9 @@
 """JSON documents for instances, layouts, DAGs and plane triangulations.
 
 Rationals travel as exact ``"p/q"`` strings with an explicit denominator.
-Every emitter writes fields in a fixed order, so a document we produced
-parses and re-serializes to the same bytes.
+Every emitter writes fields in a fixed order, so an instance, DAG or
+triangulation document we produced parses and re-serializes to the same
+bytes.  Layouts are written, not read.
 """
 
 import json
@@ -10,15 +11,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import FormatError
+from .errors import FormatError, TooLargeError
 from .geometry import BoxSpec, Layout, ProfitGraph, contact_profit, detect_contacts
 from .hier import EmbeddedDag
 from .triangulation import TriangulationInstance
 
 
 def frac_str(value: Fraction) -> str:
+    """``"p/q"``; TooLargeError when p or q has more digits than the
+    interpreter writes (``sys.get_int_max_str_digits()``)."""
     n, d = value.as_integer_ratio()
-    return f"{n}/{d}"
+    try:
+        return f"{n}/{d}"
+    except ValueError:
+        raise TooLargeError(
+            f"a rational of {max(abs(n), d).bit_length()} bits is too long to write"
+        ) from None
 
 
 def parse_frac(value, where: str) -> Fraction:
@@ -113,23 +121,8 @@ def layout_to_doc(lay: Layout, graph: ProfitGraph) -> dict:
     }
 
 
-def parse_layout(doc) -> Layout:
-    """Rebuild the Layout; stored contact/profit fields are not trusted.
-    Ids, dimensions and duplicates are checked for every box before any
-    position is read."""
-    boxes = _boxes(doc, "layout")
-    lay = Layout()
-    for i, (spec, entry) in enumerate(zip(boxes.values(), doc["boxes"])):
-        where = f"layout.boxes[{i}]"
-        x = parse_frac(_require(entry, "x", None, where), f"{where}.x")
-        y = parse_frac(_require(entry, "y", None, where), f"{where}.y")
-        lay.place(spec, x, y)
-    detect_contacts(lay)  # raises OverlapError on an invalid layout
-    return lay
-
-
 # ---------------------------------------------------------------------------
-# instances (boxes + profit graph, optional labels and witness)
+# instances (boxes + profit graph, optional labels)
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,6 @@ class InstanceDoc:
     boxes: Tuple[BoxSpec, ...]
     graph: ProfitGraph
     labels: Dict[str, str]
-    witness: Optional[Layout]
 
     def box_map(self) -> Dict[str, BoxSpec]:
         return {b.id: b for b in self.boxes}
@@ -147,7 +139,6 @@ def instance_to_doc(
     boxes: Sequence[BoxSpec],
     graph: ProfitGraph,
     labels: Optional[Mapping[str, str]] = None,
-    witness: Optional[Layout] = None,
 ) -> dict:
     doc = {
         "boxes": [_box_doc(b) for b in boxes],
@@ -157,8 +148,6 @@ def instance_to_doc(
     }
     if labels:
         doc["labels"] = {bid: labels[bid] for bid in sorted(labels)}
-    if witness is not None:
-        doc["witness"] = layout_to_doc(witness, graph)
     return doc
 
 
@@ -191,12 +180,7 @@ def parse_instance(doc) -> InstanceDoc:
             if not isinstance(label, str):
                 raise FormatError(f"instance.labels[{bid!r}]: not a string")
             labels[bid] = label
-    witness = None
-    if "witness" in doc:
-        witness = parse_layout(_require(doc, "witness", dict, "instance"))
-        if witness.boxes.keys() != boxes.keys():
-            raise FormatError("instance.witness: box ids differ from instance")
-    return InstanceDoc(tuple(boxes.values()), graph, labels, witness)
+    return InstanceDoc(tuple(boxes.values()), graph, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +258,7 @@ def dumps_doc(doc: dict) -> str:
 def loads_doc(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FormatError(f"not valid JSON: {exc}")
     except RecursionError:  # the decoder recurses once per nesting level
         raise FormatError("not valid JSON: nested too deeply") from None

@@ -29,7 +29,7 @@ from .geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
-    denominator_lcm,
+    on_unit,
     pack_components,
     rat,
     realized_profit,
@@ -145,20 +145,16 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
         s for r in range(min(4, len(pool)) + 1) for s in itertools.combinations(pool, r)
     )
 
-    # One GAP item per leaf, shared by every corner subset, on integer
-    # sizes over one unit and integer profits over another: scaling keeps
-    # every comparison, so the choice is that of the Fraction values.
-    unit = denominator_lcm([c.w, c.h, *(b for leaf in inst.leaves for b in (leaf.w, leaf.h))])
-    pay = denominator_lcm(inst.profits[leaf.id] for leaf in inst.leaves)
-
-    def whole(q, d):
-        return q.numerator * (d // q.denominator)
-
-    cw, ch = whole(c.w, unit), whole(c.h, unit)
+    # One GAP item per leaf, shared by every corner subset, with sizes and
+    # profits each counted on their own unit: scaling keeps every
+    # comparison, so the choice is that of the Fraction values.
+    _, (cw, ch, *sides) = on_unit(
+        [c.w, c.h, *(b for leaf in inst.leaves for b in (leaf.w, leaf.h))]
+    )
+    _, profits = on_unit(inst.profits[leaf.id] for leaf in inst.leaves)
     side_bins = (cw, cw, ch, ch)
     items, fits = [], []
-    for leaf in inst.leaves:
-        w, h, p = whole(leaf.w, unit), whole(leaf.h, unit), whole(inst.profits[leaf.id], pay)
+    for leaf, w, h, p in zip(inst.leaves, sides[::2], sides[1::2], profits):
         items.append(GapItem(leaf.id, (w, w, h, h), p))
         fits.append(p if w <= cw or h <= ch else 0)  # what a side can earn
     fit_total = sum(fits)

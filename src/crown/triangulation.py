@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInstanceError, TriangulationInfeasibleError
-from .geometry import BoxSpec, Layout, denominator_lcm
+from .geometry import BoxSpec, Layout, on_unit
 
 @dataclass(frozen=True)
 class TriangulationInstance:
@@ -194,11 +194,8 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     adj = {v: set(inst.rotation[v]) for v in inst.rotation}
     inner = sorted(set(inst.rotation) - set(inst.outer))
 
-    unit = denominator_lcm(d for b in inst.boxes.values() for d in (b.w, b.h))
-    dims = {
-        v: (b.w.numerator * (unit // b.w.denominator), b.h.numerator * (unit // b.h.denominator))
-        for v, b in inst.boxes.items()
-    }
+    unit, counts = on_unit(d for b in inst.boxes.values() for d in (b.w, b.h))
+    dims = dict(zip(inst.boxes, zip(counts[::2], counts[1::2])))
     span = sum(w + h for w, h in dims.values()) + unit
     stair = [(-span, span, vw), (0, span, vw), (0, 0, vs), (span, 0, vs), (span, -span, None)]
     tops: Set[Tuple[int, int]] = set()

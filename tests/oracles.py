@@ -36,6 +36,7 @@ from crown.geometry import (
     ProfitGraph,
     _classify,
     denominator_lcm,
+    detect_contacts,
     rat,
 )
 from crown.hier import EmbeddedDag
@@ -49,6 +50,7 @@ from crown.stars import (
     _is_planar,
 )
 from crown.pipeline import ASPECT, WordStats, _round_root
+from crown.serialize import _boxes, _require, parse_frac
 from crown.svg import _escape, fill_color
 from crown.triangulation import TriangulationInstance, validate_instance
 
@@ -1080,6 +1082,25 @@ def box_dimensions_fraction(stats: WordStats, words: Sequence[str]) -> Dict[str,
         w = max(round64(h * ASPECT * len(stats.label[s])), GRID)
         out[s] = BoxSpec(s, w, h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# layout documents (the library writes them; only tests read them back)
+
+
+def parse_layout(doc) -> Layout:
+    """Rebuild the Layout; stored contact/profit fields are not trusted.
+    Ids, dimensions and duplicates are checked for every box before any
+    position is read."""
+    boxes = _boxes(doc, "layout")
+    lay = Layout()
+    for i, (spec, entry) in enumerate(zip(boxes.values(), doc["boxes"])):
+        where = f"layout.boxes[{i}]"
+        x = parse_frac(_require(entry, "x", None, where), f"{where}.x")
+        y = parse_frac(_require(entry, "y", None, where), f"{where}.y")
+        lay.place(spec, x, y)
+    detect_contacts(lay)  # raises OverlapError on an invalid layout
+    return lay
 
 
 # ---------------------------------------------------------------------------

@@ -125,3 +125,35 @@ def test_no_floating_point_outside_the_random_baseline():
                 for node in ast.walk(top) if _float_uses(node)
             ]
     assert offenders == []
+
+
+# Rationals become whole counts of 1/unit in one place.
+UNIT_ALLOWED = {"geometry.on_unit"}
+
+
+def _unit_conversion(node) -> bool:
+    """``x.numerator * (u // ... x.denominator ...)``, in either order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for num, div in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(num, ast.Attribute) and num.attr == "numerator"
+                and isinstance(div, ast.BinOp) and isinstance(div.op, ast.FloorDiv)):
+            x = ast.dump(num.value)
+            if any(isinstance(d, ast.Attribute) and d.attr == "denominator"
+                   and ast.dump(d.value) == x for d in ast.walk(div.right)):
+                return True
+    return False
+
+
+def test_rationals_go_on_a_unit_only_in_on_unit():
+    offenders = []
+    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if scope in UNIT_ALLOWED:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} in {scope}"
+                for node in ast.walk(top) if _unit_conversion(node)
+            ]
+    assert offenders == []

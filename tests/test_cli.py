@@ -362,6 +362,23 @@ def test_maximal_planar_subgraph_does_not_load_networkx():
     assert proc.stdout == "9 False\n", proc.stderr
 
 
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "crown.cli", *map(str, argv)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+
+
+def assert_one_failure_line(proc, error):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(lines[0])["error"] == error
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -377,17 +394,7 @@ def test_bad_parameter_exits_2(tmp_path, argv):
     triangle_instance(tri)
     chain_dag(dag)
     argv = [a.format(tri=tri, dag=dag) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-m", "crown.cli", *argv],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "Traceback" not in proc.stderr
-    assert json.loads(lines[0])["error"] == "ParameterError"
+    assert_one_failure_line(run_cli(*argv), "ParameterError")
 
 
 @pytest.mark.parametrize("depth", [1000, 100_000])
@@ -397,17 +404,74 @@ def test_deeply_nested_json_is_a_format_error(tmp_path, command, depth):
     # recursion limit near 1,000 levels.
     doc = tmp_path / "deep.json"
     doc.write_text('{"boxes": ' + "[" * depth + "]" * depth + ', "edges": []}', encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "crown.cli", command, str(doc)],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
+    assert_one_failure_line(run_cli(command, doc), "format")
+
+
+def long_rational(rng):
+    """A rational whose numerator and denominator have 300 digits each."""
+    return Fraction(rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300))
+
+
+def long_cycle_instance(path):
+    """40 boxes with 300-digit sides on a 40-cycle of unit profits.  Every
+    input number can be written; sums of sides along a layout cannot."""
+    rng = random.Random(0)
+    ids = [f"b{i:02d}" for i in range(40)]
+    boxes = [BoxSpec(v, long_rational(rng), long_rational(rng)) for v in ids]
+    graph = ProfitGraph(ids, {(ids[i], ids[(i + 1) % 40]): 1 for i in range(40)})
+    write_instance(path, boxes, graph)
+
+
+def long_chains_dag(path):
+    """Two 20-box chains under one sink that meet at one child, with
+    300-digit heights: the child's two tops clash and are too long to write."""
+    rng = random.Random(1)
+    chains = [[f"{c}{i:02d}" for i in range(20)] for c in "ab"]
+    edges = [(c[0], "s") for c in chains] + [("d", c[-1]) for c in chains]
+    rotation = {"s": tuple(c[0] for c in chains), "d": tuple(c[-1] for c in chains)}
+    for c in chains:
+        edges += [(c[i + 1], c[i]) for i in range(19)]
+        line = ["s", *c, "d"]
+        rotation.update({v: (line[i], line[i + 2]) for i, v in enumerate(c)})
+    vertices = ("s", *chains[0], *chains[1], "d")
+    boxes = {v: BoxSpec(v, rat(50 if v == "s" else 2), long_rational(rng)) for v in vertices}
+    path.write_text(
+        dumps_doc(dag_to_doc(EmbeddedDag(vertices, tuple(edges), rotation), boxes)),
+        encoding="utf-8",
     )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "Traceback" not in proc.stderr
-    assert json.loads(lines[0])["error"] == "format"
+
+
+@pytest.mark.parametrize("algo", ["cycle-cover", "star-forest"])
+def test_layout_too_long_to_write_exits_2(tmp_path, algo):
+    # Past the interpreter's int-to-str digit limit this was exit 1.
+    inst = tmp_path / "long.json"
+    long_cycle_instance(inst)
+    assert_one_failure_line(run_cli("layout", inst, "--algo", algo), "TooLargeError")
+
+
+def test_random_layout_of_long_numbers_is_written(tmp_path):
+    # The spiral keeps each box on its own 1/64 grid point, so positions
+    # stay as long as the sides.
+    inst = tmp_path / "long.json"
+    long_cycle_instance(inst)
+    proc = run_cli("layout", inst, "--algo", "random")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(loads_doc(proc.stdout)["boxes"]) == 40
+
+
+def test_infeasible_witness_too_long_to_write_exits_2(tmp_path):
+    # The assign_y witness is encoded before the exit code is chosen; it
+    # used to raise inside main's except clause.
+    dag = tmp_path / "dag.json"
+    long_chains_dag(dag)
+    assert_one_failure_line(run_cli("hier", dag), "TooLargeError")
+
+
+@pytest.mark.parametrize("command", ["layout", "hier", "tri"])
+def test_json_int_too_long_to_read_is_a_format_error(tmp_path, command):
+    doc = tmp_path / "long.json"
+    doc.write_text('{"boxes": [{"id": "a", "w": ' + "1" * 5000 + ', "h": 1}]}', encoding="utf-8")
+    assert_one_failure_line(run_cli(command, doc), "format")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crown.cli import main
-from crown.cycles import max_crown_cycles
 from crown.geometry import BoxSpec, ProfitGraph, rat
 from crown.hier import EmbeddedDag
 from crown.serialize import dag_to_doc, instance_to_doc, triangulation_to_doc
@@ -37,10 +36,7 @@ def _instance_doc() -> dict:
         list(boxes),
         {("hub", v): rat(i + 1) for i, v in enumerate("abcd")} | {("a", "b"): rat("1/3")},
     )
-    witness = max_crown_cycles(graph, boxes)
-    return instance_to_doc(
-        list(boxes.values()), graph, {v: v.upper() for v in boxes}, witness
-    )
+    return instance_to_doc(list(boxes.values()), graph, {v: v.upper() for v in boxes})
 
 
 def _dag_doc() -> dict:

@@ -1,5 +1,6 @@
 """Knapsack FPTAS and the generalized-assignment solvers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,17 @@ def test_pareto_step_is_the_front_of_the_union(front, size, value, room):
     got = _pareto_step(front, 6, size, value, room)
     assert got == pareto_front(front + offered)
     assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(got, got[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=8), rationals, eps_values)
+def test_knapsack_fptas_is_the_same_on_whole_counts(items, capacity, eps):
+    # Rational items, and the same items with sizes and the capacity
+    # counted on their common unit and values on theirs (as solve_star
+    # passes them), run through one code path to one answer.
+    unit = math.lcm(capacity.denominator, *(s.denominator for s, _ in items))
+    pay = math.lcm(*(v.denominator for _, v in items))
+    whole = [(int(s * unit), int(v * pay)) for s, v in items]
+    assert outcome(knapsack_fptas, items, capacity, eps) == outcome(
+        knapsack_fptas, whole, int(capacity * unit), eps
+    )

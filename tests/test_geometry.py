@@ -21,6 +21,7 @@ from crown.geometry import (
     ProfitGraph,
     denominator_lcm,
     detect_contacts,
+    on_unit,
     pack_components,
     rat,
     realized_profit,
@@ -63,6 +64,27 @@ def test_denominator_lcm_is_one_on_integers_and_empty_input():
 def test_denominator_lcm_matches_math_lcm(values):
     assert denominator_lcm(values) == math.lcm(*(v.denominator for v in values))
     assert all((v * denominator_lcm(values)).denominator == 1 for v in values)
+
+
+def test_on_unit_of_nothing_is_unit_one():
+    assert on_unit([]) == (1, [])
+    assert on_unit(iter([Fraction(3, 4), 2, Fraction(-1, 6)])) == (12, [9, 24, -2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.integers(min_value=-10**6, max_value=10**6) | st.fractions(max_denominator=1000),
+        max_size=12,
+    )
+)
+def test_on_unit_counts_every_value_on_the_lcm(values):
+    # ints, Fractions and mixes of both: one count per value, in order
+    unit, counts = on_unit(values)
+    assert unit == denominator_lcm(values)
+    assert len(counts) == len(values)
+    for count, value in zip(counts, values):
+        assert type(count) is int and Fraction(count, unit) == value
 
 
 def test_boxspec_rejects_nonpositive_dims():

@@ -18,11 +18,12 @@ from crown.serialize import (
     parse_dag,
     parse_frac,
     parse_instance,
-    parse_layout,
     parse_triangulation,
     triangulation_to_doc,
 )
 from crown.triangulation import TriangulationInstance
+
+from oracles import parse_layout
 
 
 def test_frac_str_always_carries_denominator():
@@ -90,6 +91,16 @@ def test_instance_round_trip():
     parsed = parse_instance(loads_doc(dumps_doc(doc)))
     assert [b.id for b in parsed.boxes] == ["a", "b"]
     assert parsed.graph.profit("a", "b") == Fraction(5, 3)
+
+
+def test_instance_ignores_a_witness_key():
+    # No command reads a stored layout, so a "witness" key is not checked.
+    boxes = [BoxSpec("a", rat(2), rat(1)), BoxSpec("b", rat(1), rat(4))]
+    doc = instance_to_doc(boxes, sample_graph())
+    doc["witness"] = "not a layout"
+    parsed = parse_instance(doc)
+    assert parsed.boxes == tuple(boxes)
+    assert parsed.graph.edges() == sample_graph().edges()
 
 
 def test_dag_round_trip():
