@@ -28,7 +28,7 @@ from .errors import (
     TooLargeError,
     TriangulationInfeasibleError,
 )
-from .geometry import ProfitGraph, realized_profit
+from .geometry import ProfitGraph, rat, realized_profit
 from .hier import solve_hier
 from .pipeline import (
     document_instance,
@@ -103,8 +103,8 @@ def _emit(doc: dict, layout, labels, out_path, svg_path) -> None:
 
 def _frac_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return rat(text)
+    except CrownError:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 

@@ -19,6 +19,7 @@ fast path anywhere in this module.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
@@ -26,18 +27,28 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 from .errors import DuplicateIdError, OverlapError, ParameterError
 
 
+# Fraction("1e99999999") computes 10**99999999, which takes minutes; a
+# value past this exponent also has more digits than int() reads by default.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rat(value) -> Fraction:
     """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction.
 
-    Raises ParameterError for a string that is not a rational or has a
-    zero denominator.  A float raises TypeError: passing one is a
-    programming error, outside the ``CrownError`` contract.
+    Raises ParameterError for a string that is not a rational, has a
+    zero denominator or an exponent past ``MAX_EXPONENT`` in size.  A
+    float raises TypeError: passing one is a programming error, outside
+    the ``CrownError`` contract.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational")
     try:
+        exponent = isinstance(value, str) and _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"not an exact rational: {value!r}") from None

@@ -202,55 +202,64 @@ def solve_x(
     an edge (i, j) needs l_j - l_i <= w_i - delta and l_i - l_j <=
     w_j - delta; an order pair (a, b) needs l_a - l_b <= -w_a.  Solved by
     shortest paths from the anchor (l_anchor = 0).  A negative cycle
-    raises HierInfeasibleError("solve_x", [descriptors around it]).
+    raises HierInfeasibleError("solve_x", [descriptors around it]); an
+    endpoint or anchor with no width raises ParameterError.
 
-    The shortest paths run on integers: every cost is counted in units of
-    1/unit, unit = lcm of the denominators of delta and the widths.
-    Scaling by a positive integer keeps every comparison, so distances,
-    predecessors and witnesses are those of the same search on Fractions.
+    The shortest paths run on integers over vertex numbers (the order of
+    ``widths``): every cost is counted in units of 1/unit, unit = lcm of
+    the denominators of delta and the widths.  Scaling by a positive
+    integer keeps every comparison, so distances, predecessors and
+    witnesses are those of the same search on Fractions.
     """
     delta = rat(delta)
     widths = {v: rat(w) for v, w in widths.items()}
-    unit, (delta_u, *counts) = on_unit([delta, *widths.values()])
-    w_u = dict(zip(widths, counts))
-    cons: List[Tuple[str, str, int, Tuple]] = []
+    unit, (delta_u, *w_u) = on_unit([delta, *widths.values()])
+    index = {v: k for k, v in enumerate(widths)}
+    for v in (*(v for pair in (*edges, *order) for v in pair), anchor):
+        if v not in index:
+            raise ParameterError(f"vertex {v!r} has no width")
+    arcs: List[Tuple[int, int, int]] = []  # (tail, head, cost); why[k] describes arcs[k]
+    why: List[Tuple[str, str, str]] = []
     for i, j in edges:
-        cons.append((i, j, w_u[i] - delta_u, ("edge", i, j)))
-        cons.append((j, i, w_u[j] - delta_u, ("edge", i, j)))
+        a, b = index[i], index[j]
+        arcs += [(a, b, w_u[a] - delta_u), (b, a, w_u[b] - delta_u)]
+        why += [("edge", i, j)] * 2
     for a, b in order:
-        cons.append((b, a, -w_u[a], ("order", a, b)))
+        arcs.append((index[b], index[a], -w_u[index[a]]))
+        why.append(("order", a, b))
+    cons = [(k, *arc) for k, arc in enumerate(arcs)]
 
-    dist: Dict[str, Optional[int]] = {v: None for v in widths}
-    pred: Dict[str, int] = {}
-    dist[anchor] = 0
-    n = len(dist)
+    n = len(index)
+    dist: List[Optional[int]] = [None] * n
+    pred = [0] * n
+    dist[index[anchor]] = 0
 
     for _ in range(n):
         last = None
-        for idx, (u, v, c, _) in enumerate(cons):
+        for k, u, v, c in cons:
             du = dist[u]
             if du is None:
                 continue
             dv = dist[v]
             if dv is None or du + c < dv:
                 dist[v] = du + c
-                pred[v] = idx
+                pred[v] = k
                 last = v
         if last is None:
-            missing = sorted(v for v, d in dist.items() if d is None)
+            missing = sorted(v for v, d in zip(widths, dist) if d is None)
             if missing:
                 raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
-            return {v: Fraction(d, unit) for v, d in dist.items()}
+            return {v: Fraction(d, unit) for v, d in zip(widths, dist)}
     # A relaxation in pass n means a negative cycle, and n predecessor steps
     # back from it land on one: a chain that ended at the anchor would be a
     # path of under n edges cheaper than every walk of under n edges.
     for _ in range(n):
-        last = cons[pred[last]][0]
+        last = arcs[pred[last]][0]
     cycle = []
     v = last
     while not cycle or v != last:
-        cycle.append(cons[pred[v]][3])
-        v = cons[pred[v]][0]
+        cycle.append(why[pred[v]])
+        v = arcs[pred[v]][0]
     raise HierInfeasibleError("solve_x", cycle[::-1])
 
 

@@ -12,9 +12,11 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import FormatError, TooLargeError
-from .geometry import BoxSpec, Layout, ProfitGraph, contact_profit, detect_contacts
+from .geometry import BoxSpec, Layout, ProfitGraph, contact_profit, detect_contacts, rat
 from .hier import EmbeddedDag
 from .triangulation import TriangulationInstance
+
+_escape = json.encoder.encode_basestring_ascii
 
 
 def frac_str(value: Fraction) -> str:
@@ -36,8 +38,13 @@ def parse_frac(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            # ASCII "digits/digits" (frac_str of a value >= 0) skips Fraction's
+            # regex; int() alone would also take "_", spaces and signs.
+            p, slash, q = value.partition("/")
+            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+                return Fraction(int(p), int(q))
+            return rat(value)
+        except (ValueError, ZeroDivisionError):  # ParameterError is a ValueError
             raise FormatError(f"{where}: bad rational {value!r}")
     raise FormatError(f"{where}: expected a \"p/q\" string, got {value!r}")
 
@@ -251,8 +258,52 @@ def parse_triangulation(doc) -> TriangulationInstance:
 
 def dumps_doc(doc: dict) -> str:
     """Fixed rendering (2-space indent, trailing newline) for byte-stable
-    output files."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    output files: the text of ``json.dumps(doc, indent=2,
+    ensure_ascii=True)`` plus a newline.  It writes what the emitters
+    produce, str, bool, int and lists and str-keyed dicts of these, and
+    raises TypeError on anything else.  (``json.dumps`` with an indent
+    runs the pure-Python encoder, about twice as slow.)"""
+    out: List[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: List[str]) -> None:
+    """Append ``value`` to ``out``; ``newline`` is a newline plus the
+    indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _escape(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write a {type(value).__name__}")
 
 
 def loads_doc(text: str) -> dict:

@@ -61,6 +61,7 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         lambda: BoxSpec("a", 1, Fraction(-1, 2)),
         lambda: BoxSpec("a", "x", 1),
         lambda: BoxSpec("a", "1/0", 1),
+        lambda: BoxSpec("a", "1e99999999", 1),
         lambda: knapsack_fptas([(1, 1)], 1, "x"),
         lambda: ProfitGraph.key("a", "a"),
         lambda: ProfitGraph().add_edge("a", "a", 1),
@@ -76,15 +77,18 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         lambda: assign_y(SINKLESS, {"a": 1, "b": 1}),
         lambda: sweep_order(SINKLESS, {"a": (0, 1), "b": (0, 1)}),
         lambda: solve_x({"a": 1, "b": 1}, SINKLESS.edges, (), Fraction(1, 2), "a"),
+        lambda: solve_x({"a": 1}, [("a", "q")], (), Fraction(1, 10), "a"),
+        lambda: solve_x({}, (), (), Fraction(1, 10), "z"),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
-        "box-zero-denominator", "knapsack-bad-eps", "key-self-loop",
+        "box-zero-denominator", "box-huge-exponent", "knapsack-bad-eps", "key-self-loop",
         "edge-self-loop", "edge-negative-profit", "graph-negative-profit",
         "item-negative-size", "item-negative-value",
         "gap-wrong-arity", "star-leaf-is-center", "star-leaf-without-profit",
         "dag-unknown-vertex", "dag-sink", "dag-assign-y", "dag-sweep-order",
-        "dag-solve-x-unanchored",
+        "dag-solve-x-unanchored", "dag-solve-x-unknown-endpoint",
+        "dag-solve-x-unknown-anchor",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):
@@ -156,4 +160,25 @@ def test_rationals_go_on_a_unit_only_in_on_unit():
                 f"{path.name}:{node.lineno} in {scope}"
                 for node in ast.walk(top) if _unit_conversion(node)
             ]
+    assert offenders == []
+
+
+def _indented_dumps(node) -> bool:
+    """A ``json.dumps(..., indent=...)`` call, or ``dump``, or either by
+    its bare name."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    return name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords)
+
+
+def test_documents_are_pretty_printed_only_by_dumps_doc():
+    # serialize.dumps_doc writes the indented text itself; json.dumps with
+    # an indent runs the pure-Python encoder.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _indented_dumps(node)
+    ]
     assert offenders == []

@@ -368,6 +368,7 @@ def run_cli(*argv):
         cwd=REPO,
         capture_output=True,
         text=True,
+        timeout=120,  # a hang fails the test instead of stalling the suite
     )
 
 
@@ -395,6 +396,21 @@ def test_bad_parameter_exits_2(tmp_path, argv):
     chain_dag(dag)
     argv = [a.format(tri=tri, dag=dag) for a in argv]
     assert_one_failure_line(run_cli(*argv), "ParameterError")
+
+
+@pytest.mark.parametrize("where, error", [("flag", "usage"), ("document", "format")])
+def test_huge_exponent_exits_2_at_once(tmp_path, where, error):
+    # Fraction("1e99999999") alone computes 10**99999999, for minutes
+    dag = tmp_path / "dag.json"
+    chain_dag(dag)
+    if where == "flag":
+        argv = ["hier", dag, "--delta", "1e99999999"]
+    else:
+        doc = json.loads(dag.read_text(encoding="utf-8"))
+        doc["boxes"][0]["w"] = "1e99999999"
+        dag.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["hier", dag]
+    assert_one_failure_line(run_cli(*argv), error)
 
 
 @pytest.mark.parametrize("depth", [1000, 100_000])

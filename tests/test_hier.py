@@ -114,6 +114,25 @@ def test_solve_x_two_preds_too_wide():
     assert err.value.stage == "solve_x"
 
 
+def test_solve_x_witness_is_the_cycle_its_relaxation_order_finds():
+    # two negative cycles, a <-> b and c <-> d, both reachable from s; the
+    # last pass of relaxations ends on the one whose pairs come later
+    widths = {"s": Fraction(4), "a": Fraction(1), "b": Fraction(2),
+              "c": Fraction(1), "d": Fraction(3)}
+    edges = [("a", "s"), ("c", "s"), ("b", "s"), ("d", "s")]
+    ab = [("a", "b"), ("b", "a")]
+    cd = [("c", "d"), ("d", "c")]
+    for order, want in (
+        (ab + cd, [("order", "d", "c"), ("order", "c", "d")]),
+        (cd + ab, [("order", "b", "a"), ("order", "a", "b")]),
+    ):
+        for solver in (solve_x, solve_x_fraction):
+            with pytest.raises(HierInfeasibleError) as err:
+                solver(widths, edges, order, Fraction(1, 2), "s")
+            assert err.value.stage == "solve_x"
+            assert err.value.witness == want
+
+
 def test_validate_embedding_catches_unknown_vertex():
     dag = EmbeddedDag(("a", "b"), (("b", "a"),), {"a": ("b",), "b": ("a", "zz")})
     v = validate_embedding(dag)

@@ -1,12 +1,16 @@
 """JSON round-trips for layouts, instances, DAGs, and triangulations."""
 
+import fractions
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crown import geometry, serialize
 from crown.errors import FormatError
-from crown.geometry import BoxSpec, Layout, ProfitGraph, rat, realized_profit
+from crown.geometry import MAX_EXPONENT, BoxSpec, Layout, ProfitGraph, rat, realized_profit
 from crown.hier import EmbeddedDag
 from crown.serialize import (
     dag_to_doc,
@@ -44,6 +48,109 @@ def test_parse_frac_rejects_junk():
     for bad in ("", "1/0", "a/b", None, [1]):
         with pytest.raises(FormatError):
             parse_frac(bad, "x")
+
+
+def parse_frac_reference(value: str, where: str) -> Fraction:
+    """parse_frac on a string without its fast path: Fraction(str), which
+    also refuses an exponent past MAX_EXPONENT (found by the grammar of the
+    fractions module, not by crown's pattern)."""
+    try:
+        match = fractions._RATIONAL_FORMAT.match(value)
+        if match and match["exp"] and abs(int(match["exp"])) > MAX_EXPONENT:
+            raise ValueError("exponent too large")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"{where}: bad rational {value!r}")
+
+
+# Pieces that int() or Fraction(str) treat specially: "_", whitespace,
+# signs, decimals, exponents and Arabic-Indic digits.
+FRAC_PIECES = st.sampled_from(
+    [*"0123456789", "00", "_", " ", "\t", "\n", "+", "-", ".", "e", "E", "/",
+     "\u0660", "\u0663", "\u0669", "\u00b2"]
+)
+DIGITS = st.text("0123456789", min_size=1, max_size=30)
+AROUND = st.sampled_from(["", "", " ", "\n", "+", "-", "_", "0", "\u0663", "e"])
+FRAC_STRINGS = st.one_of(
+    st.lists(FRAC_PIECES, max_size=12).map("".join),
+    st.builds("{}/{}".format, DIGITS, DIGITS),
+    st.builds("{}{}{}/{}{}{}".format, AROUND, DIGITS, AROUND, AROUND, DIGITS, AROUND),
+    st.builds("{}/{}".format, DIGITS, st.sampled_from(["0", "00", "000"])),
+    st.builds(
+        "{}{}/{}".format,
+        st.sampled_from(["", "-", "+", " "]),
+        st.integers(4290, 4310).map(lambda n: "7" * n),
+        st.sampled_from(["3", "0", "3 ", "1_0"]),
+    ),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FRAC_STRINGS)
+def test_parse_frac_matches_fraction_of_the_string(text):
+    results = []
+    for parse in (parse_frac, parse_frac_reference):
+        try:
+            results.append(("ok", parse(text, "w")))
+        except FormatError as err:
+            results.append(("error", str(err)))
+    got, want = results
+    assert got == want
+    if got[0] == "ok":
+        assert type(got[1]) is Fraction
+
+
+def test_parse_frac_reports_a_numerator_past_the_digit_limit():
+    text = "9" * 5000 + "/7"
+    with pytest.raises(FormatError, match=r"^w: bad rational '9{20}"):
+        parse_frac(text, "w")
+
+
+def test_parse_frac_refuses_an_exponent_past_the_limit():
+    # Fraction alone would compute 10**99999999 here, for minutes
+    for text in ("1e99999999", " 2E-99_999_999 ", f"1e{MAX_EXPONENT + 1}", "1e" + "9" * 5000):
+        with pytest.raises(FormatError, match="bad rational"):
+            parse_frac(text, "w")
+    assert parse_frac(f"1e{MAX_EXPONENT}", "w") == 10**MAX_EXPONENT
+    assert parse_frac(f"3e-{MAX_EXPONENT}", "w") == Fraction(3, 10**MAX_EXPONENT)
+
+
+# Strings for ids and keys: any code point, lone surrogates included, plus
+# the characters that JSON escapes.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028",
+                         "\ud800", "\udfff", "\u00e9", "\U0001f600"]),
+    ),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        JSON_TEXT,
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**40), 10**40),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_dumps_doc_writes_what_json_dumps_writes(doc):
+    assert dumps_doc(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, None], ids=["fraction", "float", "none"])
+def test_dumps_doc_refuses_what_the_emitters_never_write(value):
+    for doc in ({"a": value}, {"a": [1, {"b": value}]}):
+        with pytest.raises(TypeError):
+            dumps_doc(doc)
 
 
 def sample_layout():
