@@ -10,13 +10,14 @@ and laying out the most profitable cover.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleTooShortError
 from .geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
+    on_unit,
     pack_components,
     require_boxes,
 )
@@ -82,9 +83,6 @@ class CycleCover:
     """Edge covers: within each cover every vertex has degree at most 2."""
 
     covers: Tuple[Tuple[Edge, ...], ...]
-
-    def cover_profit(self, graph: ProfitGraph, index: int) -> Fraction:
-        return sum((graph.profit(a, b) for a, b in self.covers[index]), Fraction(0))
 
 
 # Multigraph scaffolding for the decomposition.  Node copy * n + i is the
@@ -209,7 +207,9 @@ def _perfect_matching(out_edges) -> List[int]:
     return group_of
 
 
-def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
+def decompose_cycle_covers(
+    graph: ProfitGraph, stop: Optional[Callable[[Tuple[Edge, ...]], bool]] = None
+) -> CycleCover:
     """Split the edges into k = ceil(max_degree/2) degree-<=2 covers.
 
     The graph is padded to a 2k-regular multigraph: two copies of it,
@@ -221,7 +221,9 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
     graph, and a group loses one copy per matched pair it carries.
     Restricting each factor to the first copy's real edges yields the
     covers; every edge lands in exactly one.  A round costs O(n + E),
-    whatever the padding.
+    whatever the padding.  ``stop``, when given, sees each cover as it
+    is found; once it returns True the covers so far are returned, a
+    prefix of the k.
     """
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:
@@ -260,7 +262,10 @@ def decompose_cycle_covers(graph: ProfitGraph) -> CycleCover:
         adj = [[e for e in lst if count[e[1]]] for lst in adj]
         # Never empty: a max-degree vertex has at most one padding copy.
         covers.append(tuple(sorted(real_edges[g] for g in factor if g < m)))
-    assert not any(adj)
+        if stop is not None and stop(covers[-1]):
+            break
+    else:
+        assert not any(adj)
     return CycleCover(tuple(covers))
 
 
@@ -307,19 +312,29 @@ def max_crown_cycles(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout
 
     Realizes at least total_profit / ceil(max_degree / 2): the best of k
     covers carries at least 1/k of the profit, and every cover edge is
-    realized by the cycle/path layouts.  Raises ParameterError when a
-    graph vertex has no box.
+    realized by the cycle/path layouts.  Covers are summed on the
+    profits' ``on_unit`` counts as they come, and the decomposition stops
+    once the profit not yet covered is at most the best cover's, which
+    no later cover can then beat; a tie keeps the earlier cover.  Raises
+    ParameterError when a graph vertex has no box.
     """
     require_boxes(graph.vertices, boxes)
-    decomposition = decompose_cycle_covers(graph)
+    edges = graph.edges()
+    _, counts = on_unit(p for _, _, p in edges)
+    profit = {(a, b): c for (a, b, _), c in zip(edges, counts)}
+    left, top, chosen = sum(counts), -1, ()
+
+    def no_later_cover_wins(cover: Tuple[Edge, ...]) -> bool:
+        nonlocal left, top, chosen
+        value = sum(map(profit.__getitem__, cover))
+        left -= value
+        if value > top:
+            top, chosen = value, cover
+        return left <= top
+
+    decompose_cycle_covers(graph, no_later_cover_wins)
     components: List[Layout] = []
-    if decomposition.covers:
-        profits = [
-            decomposition.cover_profit(graph, i)
-            for i in range(len(decomposition.covers))
-        ]
-        chosen = decomposition.covers[profits.index(max(profits))]
-        for kind, order in _cover_components(chosen):
-            seq = [boxes[v] for v in order]
-            components.append(layout_cycle(seq) if kind == "cycle" else layout_path(seq))
+    for kind, order in _cover_components(chosen):
+        seq = [boxes[v] for v in order]
+        components.append(layout_cycle(seq) if kind == "cycle" else layout_path(seq))
     return pack_components(components, boxes)

@@ -21,25 +21,29 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import DuplicateIdError, OverlapError, ParameterError
 
 
-# Fraction("1e99999999") computes 10**99999999, which takes minutes; a
-# value past this exponent also has more digits than int() reads by default.
+# Fraction("1e99999999") computes 10**99999999, which takes minutes, and
+# so does Fraction(Decimal("1e99999999")); a value past this exponent also
+# has more digits than int() reads by default.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction.
+    """Coerce ints, strings like ``"3/4"``, Decimals and Fractions to
+    Fraction.
 
     Raises ParameterError for a string that is not a rational, has a
-    zero denominator or an exponent past ``MAX_EXPONENT`` in size.  A
-    float raises TypeError: passing one is a programming error, outside
-    the ``CrownError`` contract.
+    zero denominator or an exponent past ``MAX_EXPONENT`` in size, and
+    for a Decimal that is not finite or has such an exponent.  A float
+    raises TypeError: passing one is a programming error, outside the
+    ``CrownError`` contract.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,7 +51,10 @@ def rat(value) -> Fraction:
         raise TypeError(f"refusing float {value!r}; pass an exact rational")
     try:
         exponent = isinstance(value, str) and _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        exponent = int(exponent[1]) if exponent else 0
+        if isinstance(value, Decimal):
+            exponent = value.as_tuple().exponent  # "n", "N" or "F" when not finite
+        if isinstance(exponent, str) or abs(exponent) > MAX_EXPONENT:
             raise ValueError
         return Fraction(value)
     except (ValueError, ZeroDivisionError):

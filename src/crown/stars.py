@@ -12,9 +12,11 @@ matroid partition, with no embedding.  ``maximal_planar_subgraph``
 tests planarity with its own boolean left-right test, ``_is_planar``,
 one block at a time: each block on the path an edge would close gets
 one virtual edge between the cut vertices of the path, pairs found
-non-planar once are remembered and fail later paths untested, and the
-pair's neighbourhood is tested before the whole block.  The module
-needs nothing beyond the standard library.
+non-planar once are remembered and fail later paths untested, and a
+minor of the block, the pair's neighbourhood with the rest contracted,
+is tested before the whole block.  Both functions take edges in the
+order ``_ranked`` gives.  The module needs nothing beyond the standard
+library.
 """
 
 import itertools
@@ -208,6 +210,16 @@ def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None)
     return lay
 
 
+def _ranked(graph: ProfitGraph) -> List[Tuple[str, str, Fraction]]:
+    """The edges in (profit descending, id pair) order: a stable sort of
+    ``graph.edges()``, which come in id-pair order, on the profits'
+    ``on_unit`` counts."""
+    edges = graph.edges()
+    _, counts = on_unit(p for _, _, p in edges)
+    order = sorted(range(len(edges)), key=counts.__getitem__, reverse=True)
+    return [edges[i] for i in order]
+
+
 def partition_tree(edges: Sequence[Tuple[str, str]]) -> Tuple[StarForest, StarForest]:
     """Split forest edges into two star forests by the parent's depth parity.
 
@@ -303,7 +315,7 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     """
     names = sorted(graph.vertices)
     num = {v: i for i, v in enumerate(names)}
-    ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
+    ranked = _ranked(graph)
     ends = [(num[a], num[b]) for a, b, _ in ranked]
     if not _is_planar(len(names), ends):
         raise NotPlanarError("input graph is not planar")
@@ -664,9 +676,12 @@ def _path_stays_planar(path, a: int, b: int, bedges, bverts, adj, forbidden) -> 
     so, because the kept graph only grows: it goes into ``forbidden`` and
     fails later paths with no test.  Every block is held to 3V-6 before
     any test runs.  Then the blocks are tested smallest first; when the
-    closed neighbourhoods of the pair cover less than the block, the
-    block's subgraph induced on them, plus the pair, is tested first: it
-    is a subgraph of the block plus the pair.
+    closed neighbourhoods of the pair cover less than the block, a minor
+    of the block plus the pair is tested first: the block's subgraph
+    induced on them, one vertex per component of the rest of the block,
+    joined to the neighbourhood vertices that component touches, and the
+    pair, last.  A minor of a planar graph is planar, so its reject is
+    exact.
     """
     tests = []
     x = b
@@ -687,8 +702,21 @@ def _path_stays_planar(path, a: int, b: int, bedges, bverts, adj, forbidden) -> 
         near = ({x, y} | adj[x] | adj[y]) & verts
         if len(near) < len(verts):
             edges = [(u, w) for u in sorted(near) for w in sorted(adj[u] & near) if u < w]
+            minor, rest = set(near), verts - near
+            while rest:  # contract one component of the rest onto c
+                c = rest.pop()
+                stack, touched = [c], set()
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if w in rest:
+                            rest.remove(w)
+                            stack.append(w)
+                        elif w in near:
+                            touched.add(w)
+                minor.add(c)
+                edges += [(c, w) for w in touched]
             edges.append((x, y))
-            if not _planar_on(near, edges):
+            if not _planar_on(minor, edges):
                 forbidden.add((x, y))
                 return False
         if not _planar_on(verts, bedges[blk] + [(x, y)]):
@@ -709,17 +737,18 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     is tested alone with one virtual edge between the cut vertices where
     the path enters and leaves it (see ``_path_stays_planar``): pairs
     already rejected fail at once, a block past 3V-6 fails without a
-    test, and a small neighbourhood of the pair is tried before the whole
-    block.  The test is the boolean left-right test ``_is_planar`` on the
-    graph relabelled to 0..V-1 in id order.  The bookkeeping runs on
-    vertex numbers given once in id order, so sorting numbers sorts ids,
-    and no set order (nor the test's work) follows the string hash seed.
+    test, and a minor of the block around the pair is tried before the
+    whole block.  The test is the boolean left-right test ``_is_planar``
+    on the graph relabelled to 0..V-1 in id order.  The bookkeeping runs
+    on vertex numbers given once in id order, so sorting numbers sorts
+    ids, and no set order (nor the test's work) follows the string hash
+    seed.
     The result is the same as testing the whole running graph after
     every edge.
     """
     names = sorted(graph.vertices)
     num = {v: i for i, v in enumerate(names)}
-    ranked = sorted(graph.edges(), key=lambda e: (-e[2], e[0], e[1]))
+    ranked = _ranked(graph)
     kept = ProfitGraph(graph.vertices)
     bedges: Dict[int, List[Tuple[int, int]]] = {}  # block -> its edges
     bverts: Dict[int, set] = {}  # block -> its vertices

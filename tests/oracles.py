@@ -18,7 +18,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from crown.cycles import CycleCover
+from crown.cycles import (
+    CycleCover,
+    _cover_components,
+    decompose_cycle_covers,
+    layout_cycle,
+    layout_path,
+)
 from crown.errors import (
     DuplicateIdError,
     HierInfeasibleError,
@@ -37,6 +43,7 @@ from crown.geometry import (
     _classify,
     denominator_lcm,
     detect_contacts,
+    pack_components,
     rat,
 )
 from crown.hier import EmbeddedDag
@@ -48,6 +55,7 @@ from crown.stars import (
     _check_star_params,
     _corner_pool,
     _is_planar,
+    _planar_on,
 )
 from crown.pipeline import ASPECT, WordStats, _round_root
 from crown.serialize import _boxes, _require, parse_frac
@@ -400,6 +408,39 @@ def maximal_planar_subgraph_union(graph: ProfitGraph) -> ProfitGraph:
     return kept
 
 
+def path_stays_planar_near(path, a: int, b: int, bedges, bverts, adj, forbidden) -> bool:
+    """``stars._path_stays_planar`` with the block's subgraph induced on
+    the pair's closed neighbourhoods, plus the pair, as the pre-test in
+    place of the contracted minor."""
+    tests = []
+    x = b
+    for i, blk in enumerate(path):
+        if i + 1 < len(path):
+            (y,) = bverts[blk] & bverts[path[i + 1]]
+        else:
+            y = a
+        if y not in adj[x]:
+            pair = (x, y) if x < y else (y, x)
+            if pair in forbidden or len(bedges[blk]) + 1 > 3 * len(bverts[blk]) - 6:
+                forbidden.add(pair)
+                return False
+            tests.append((len(bedges[blk]), blk, pair))
+        x = y
+    for _, blk, (x, y) in sorted(tests):
+        verts = bverts[blk]
+        near = ({x, y} | adj[x] | adj[y]) & verts
+        if len(near) < len(verts):
+            edges = [(u, w) for u in sorted(near) for w in sorted(adj[u] & near) if u < w]
+            edges.append((x, y))
+            if not _planar_on(near, edges):
+                forbidden.add((x, y))
+                return False
+        if not _planar_on(verts, bedges[blk] + [(x, y)]):
+            forbidden.add((x, y))
+            return False
+    return True
+
+
 def knapsack_fptas_unpruned(
     items: Sequence[Tuple[Fraction, Fraction]], capacity, eps
 ) -> Tuple[int, ...]:
@@ -647,6 +688,23 @@ def decompose_cycle_covers_per_edge(graph: ProfitGraph) -> CycleCover:
     return CycleCover(tuple(covers))
 
 
+def max_crown_cycles_every_cover(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout:
+    """``cycles.max_crown_cycles`` on all ceil(max_degree/2) covers, each
+    summed in Fractions; the first cover of the largest profit wins."""
+    decomposition = decompose_cycle_covers(graph)
+    components: List[Layout] = []
+    if decomposition.covers:
+        profits = [
+            sum((graph.profit(a, b) for a, b in cover), Fraction(0))
+            for cover in decomposition.covers
+        ]
+        chosen = decomposition.covers[profits.index(max(profits))]
+        for kind, order in _cover_components(chosen):
+            seq = [boxes[v] for v in order]
+            components.append(layout_cycle(seq) if kind == "cycle" else layout_path(seq))
+    return pack_components(components, boxes)
+
+
 def _euler_orient_tuple(nodes, adj):
     used = set()
     ptr = {v: 0 for v in nodes}
@@ -750,6 +808,9 @@ def solve_x_fraction(
 ) -> Dict[str, Fraction]:
     """``hier.solve_x`` with the Bellman-Ford distances on Fractions."""
     delta = rat(delta)
+    for v in (*(v for pair in (*edges, *order) for v in pair), anchor):
+        if v not in widths:
+            raise ParameterError(f"vertex {v!r} has no width")
     cons: List[Tuple[str, str, Fraction, Tuple]] = []
     for i, j in edges:
         cons.append((i, j, rat(widths[i]) - delta, ("edge", i, j)))

@@ -163,6 +163,35 @@ def test_rationals_go_on_a_unit_only_in_on_unit():
     assert offenders == []
 
 
+# Edges are ranked by profit in one place, on integer counts.
+RANKING_ALLOWED = {"stars._ranked"}
+
+
+def _keyed_edge_sort(node) -> bool:
+    """``sorted(<x>.edges(), key=...)``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"
+            and node.args and any(k.arg == "key" for k in node.keywords)):
+        return False
+    target = node.args[0]
+    return isinstance(target, ast.Call) and getattr(target.func, "attr", None) == "edges"
+
+
+def test_edges_are_ranked_only_in_stars_ranked():
+    # stars._ranked sorts on on_unit counts; a key on the Fraction profits
+    # elsewhere would be a second, slower ranking
+    offenders = []
+    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if scope in RANKING_ALLOWED:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} in {scope}"
+                for node in ast.walk(top) if _keyed_edge_sort(node)
+            ]
+    assert offenders == []
+
+
 def _indented_dumps(node) -> bool:
     """A ``json.dumps(..., indent=...)`` call, or ``dump``, or either by
     its bare name."""

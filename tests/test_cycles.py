@@ -23,6 +23,7 @@ from fixtures_extremal import contact_pairs
 from oracles import (
     decompose_cycle_covers_per_edge,
     decompose_cycle_covers_tuple,
+    max_crown_cycles_every_cover,
     max_degree,
     rand_clustered_graph,
     rand_degree_graph,
@@ -248,3 +249,58 @@ def test_decompose_matches_per_edge_on_the_corpus():
         for doc_id, text in docs:
             _, g, _ = document_instance(text, k)
             assert decompose_cycle_covers(g) == decompose_cycle_covers_per_edge(g), (doc_id, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=30))
+def test_decompose_with_stop_returns_a_prefix(seed, rounds):
+    g = rand_clustered_graph(random.Random(seed), 16)
+    full = decompose_cycle_covers(g).covers
+    seen = []
+
+    def stop(cover):
+        seen.append(cover)
+        return len(seen) == rounds
+
+    got = decompose_cycle_covers(g, stop).covers
+    assert got == full[:rounds]
+    assert seen == list(got)  # called once per cover, with that cover
+
+
+def tied_graph(seed, same):
+    """A clustered graph with profits 0..3, or ``same`` on every edge, so
+    that covers often tie for the best, and boxes for its vertices."""
+    g = rand_clustered_graph(random.Random(seed), 16)
+    if same is not None:
+        g = ProfitGraph(g.vertices, {(a, b): same for a, b, _ in g.edges()})
+    return g, {v: BoxSpec(v, Fraction(1 + int(v[1:]) % 3), Fraction(1)) for v in g.vertices}
+
+
+SAME = [None, Fraction(0), Fraction(1), Fraction(2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(SAME))
+def test_max_crown_cycles_picks_the_cover_of_every_cover_search(seed, same):
+    g, boxes = tied_graph(seed, same)
+    assert max_crown_cycles(g, boxes) == max_crown_cycles_every_cover(g, boxes)
+
+
+def test_tied_graphs_tie_for_the_best_cover():
+    # the draws above reach a tie for the best cover between two or more
+    # covers, where the earlier must win
+    ties = 0
+    for seed in range(40):
+        for same in SAME:
+            g, _ = tied_graph(seed, same)
+            profits = [sum(g.profit(a, b) for a, b in c) for c in decompose_cycle_covers(g).covers]
+            ties += profits.count(max(profits, default=0)) > 1
+    assert ties >= 40
+
+
+@pytest.mark.parametrize("k", [50, 100])
+def test_max_crown_cycles_picks_the_cover_of_every_cover_search_on_the_corpus(k):
+    for doc_id, text in load_corpus(CORPUS):
+        boxes, g, _ = document_instance(text, k)
+        box_map = {b.id: b for b in boxes}
+        assert max_crown_cycles(g, box_map) == max_crown_cycles_every_cover(g, box_map), doc_id

@@ -7,6 +7,7 @@ orientation, point contacts, overlap rejection, and the pack helper.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from crown.cycles import max_crown_cycles
 from crown.errors import DuplicateIdError, OverlapError, ParameterError
 from crown.geometry import (
+    MAX_EXPONENT,
     BoxSpec,
     Layout,
     ProfitGraph,
@@ -52,6 +54,22 @@ def test_rat_accepts_exact_types_only():
     for bad in ("x", "1/0", ""):
         with pytest.raises(ParameterError, match="not an exact rational"):
             rat(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["Infinity", "-Infinity", "NaN", "sNaN", "1e9999999", "-2e-9999999", f"1e{MAX_EXPONENT + 1}"]
+)
+def test_rat_refuses_a_decimal_not_finite_or_past_the_exponent_limit(text):
+    # Fraction(Decimal) raises OverflowError on an infinity and expands
+    # 10**exponent first, for minutes at 1e9999999
+    with pytest.raises(ParameterError, match="not an exact rational"):
+        rat(Decimal(text))
+
+
+def test_rat_reads_a_decimal_up_to_the_exponent_limit():
+    assert rat(Decimal("-1.25")) == Fraction(-5, 4)
+    assert rat(Decimal(f"1e{MAX_EXPONENT}")) == 10**MAX_EXPONENT
+    assert rat(Decimal(f"3e-{MAX_EXPONENT}")) == Fraction(3, 10**MAX_EXPONENT)
 
 
 def test_denominator_lcm_is_one_on_integers_and_empty_input():

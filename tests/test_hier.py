@@ -397,7 +397,8 @@ def test_fraction_reference_draws_reach_both_verdicts():
 def random_system_outcome(seed):
     """x_outcome on an arbitrary system over at most 7 vertices: edges and
     order pairs drawn at random, self-pairs included, any anchor.  Most
-    draws hold a negative cycle."""
+    draws hold a negative cycle; one in eight names a vertex with no
+    width as an edge or order endpoint or as the anchor."""
     rng = random.Random(seed)
     vs = [f"v{i}" for i in range(rng.randrange(1, 8))]
     widths = {v: off_grid(rng, 6) for v in vs}
@@ -405,7 +406,15 @@ def random_system_outcome(seed):
     def pairs():
         return [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randrange(2 * len(vs) + 1))]
 
-    return x_outcome(widths, pairs(), pairs(), off_grid(rng, 4), rng.choice(vs))
+    args = [widths, pairs(), pairs(), off_grid(rng, 4), rng.choice(vs)]
+    if rng.randrange(8) == 0:
+        where = rng.choice((1, 2, 4))
+        if where == 4:
+            args[4] = "q"
+        else:
+            args[where].insert(rng.randrange(len(args[where]) + 1), rng.choice(
+                [("q", rng.choice(vs)), (rng.choice(vs), "q")]))
+    return x_outcome(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,6 +429,21 @@ def test_arbitrary_systems_are_mostly_negative_cycles():
     outcomes = [random_system_outcome(seed) for seed in range(100)]
     assert set(outcomes) == {"ok", "solve_x", "parameter"}
     assert outcomes.count("solve_x") > 50
+
+
+@pytest.mark.parametrize(
+    "widths, edges, order, anchor",
+    [
+        ({"a": 1}, [("a", "q")], [], "a"),
+        ({"a": 1}, [], [("q", "a")], "a"),
+        ({"a": 1}, [], [], "q"),
+        ({}, [], [], "z"),
+    ],
+    ids=["edge-endpoint", "order-endpoint", "anchor", "anchor-no-widths"],
+)
+def test_fraction_reference_refuses_a_vertex_with_no_width(widths, edges, order, anchor):
+    # both solvers raise the same ParameterError, compared by x_outcome
+    assert x_outcome(widths, edges, order, Fraction(1, 10), anchor) == "parameter"
 
 
 def test_solve_x_exact_past_a_64_bit_unit():

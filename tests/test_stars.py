@@ -40,6 +40,7 @@ from oracles import (
     is_planar_nx,
     maximal_planar_subgraph_brute,
     maximal_planar_subgraph_union,
+    path_stays_planar_near,
     rand_block_graph,
     rand_clustered_graph,
     rand_guillotine_dual,
@@ -457,14 +458,14 @@ def test_block_graphs_reach_every_shortcut(monkeypatch):
     # rand_block_graph draws must exercise what the per-block decision
     # skips or decides early: block paths of three or more blocks, paths
     # failed by a pair already rejected (no test runs and no new pair gets
-    # forbidden), and rejects on a neighbourhood, a vertex set that is no
-    # block's.
+    # forbidden), and rejects on a minor, a vertex set that is no block's,
+    # some of which the pair's neighbourhood alone would have passed.
     seen = Counter()
     stays, planar_on = stars._path_stays_planar, stars._planar_on
-    blocks = {}
+    state = {}
 
     def spy_path(path, a, b, bedges, bverts, adj, forbidden):
-        blocks["verts"] = bverts
+        state.update(verts=bverts, adj=adj)
         before, tests = len(forbidden), seen["tests"]
         ok = stays(path, a, b, bedges, bverts, adj, forbidden)
         seen["long path"] += len(path) >= 3
@@ -474,7 +475,12 @@ def test_block_graphs_reach_every_shortcut(monkeypatch):
     def spy_test(verts, edges):
         seen["tests"] += 1
         ok = planar_on(verts, edges)
-        seen["near reject"] += not ok and all(verts is not v for v in blocks["verts"].values())
+        if not ok and all(verts is not v for v in state["verts"].values()):
+            seen["minor reject"] += 1
+            x, y = edges[-1]  # the pair comes last
+            near = verts & ({x, y} | state["adj"][x] | state["adj"][y])
+            induced = [(u, w) for u, w in edges if u in near and w in near]
+            seen["contraction needed"] += planar_on(near, induced)
         return ok
 
     monkeypatch.setattr(stars, "_path_stays_planar", spy_path)
@@ -483,7 +489,53 @@ def test_block_graphs_reach_every_shortcut(monkeypatch):
         maximal_planar_subgraph(rand_block_graph(random.Random(seed)))
     assert seen["long path"] >= 20
     assert seen["forbidden"] >= 3
-    assert seen["near reject"] >= 10
+    assert seen["minor reject"] >= 10
+    assert seen["contraction needed"] >= 5
+
+
+def minor_rejects_are_block_rejects(monkeypatch, graphs):
+    """Run maximal_planar_subgraph on ``graphs`` while checking every
+    call of the block decision against ``path_stays_planar_near``, the
+    neighbourhood pre-test it replaced (same verdict, same forbidden
+    pairs), and every reject on a minor against the whole block plus the
+    pair.  Returns the number of minor rejects."""
+    stays, planar_on = stars._path_stays_planar, stars._planar_on
+    state = {}
+    rejects = []
+
+    def spy_path(path, a, b, bedges, bverts, adj, forbidden):
+        state.update(path=path, bedges=bedges, bverts=bverts)
+        old = set(forbidden)
+        want = path_stays_planar_near(path, a, b, bedges, bverts, adj, old)
+        assert stays(path, a, b, bedges, bverts, adj, forbidden) == want
+        assert forbidden == old
+        return want
+
+    def spy_test(verts, edges):
+        ok = planar_on(verts, edges)
+        bverts = state["bverts"]
+        if not ok and all(verts is not v for v in bverts.values()):
+            x, y = edges[-1]
+            (blk,) = [blk for blk in state["path"] if {x, y} <= bverts[blk]]
+            assert not planar_on(bverts[blk], state["bedges"][blk] + [(x, y)])
+            rejects.append((x, y))
+        return ok
+
+    monkeypatch.setattr(stars, "_path_stays_planar", spy_path)
+    monkeypatch.setattr(stars, "_planar_on", spy_test)
+    for g in graphs:
+        maximal_planar_subgraph(g)
+    return len(rejects)
+
+
+def test_minor_rejects_are_block_rejects_on_block_graphs(monkeypatch):
+    graphs = [rand_block_graph(random.Random(seed)) for seed in range(200)]
+    assert minor_rejects_are_block_rejects(monkeypatch, graphs) >= 100
+
+
+def test_minor_rejects_are_block_rejects_on_the_corpus(monkeypatch):
+    graphs = [g for _, g in corpus_graphs(50)]
+    assert minor_rejects_are_block_rejects(monkeypatch, graphs) >= 500
 
 
 @lru_cache(maxsize=None)
@@ -507,7 +559,7 @@ def test_maximal_planar_subgraph_tests_few_edges_on_the_corpus(monkeypatch):
     monkeypatch.setattr(stars, "_is_planar", lambda n, edges: handed.append(len(edges)) or test(n, edges))
     for _, g in corpus_graphs(100):
         maximal_planar_subgraph(g)
-    assert sum(handed) <= 0.6 * 786_775
+    assert sum(handed) <= 0.3 * 786_775
 
 
 K5 = list(combinations(range(5), 2))
