@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,30 +165,16 @@ def _pct_1dp(realized: Fraction, total: Fraction) -> str:
 
 
 def _bench_document(doc_id, text, args):
+    """One ``(doc_id, algorithm, realized, total)`` per algorithm, or None."""
     boxes, graph, _labels = document_instance(text, args.k)
     total = graph.total_profit()
     if total == 0:
         return None
     box_map = {b.id: b for b in boxes}
-    rows = []
-    for algo in args.algos:
-        start = time.perf_counter()
-        lay = _lay_out(algo, graph, box_map, args)
-        millis = int((time.perf_counter() - start) * 1000)
-        realized = realized_profit(lay, graph)
-        rows.append(
-            {
-                "doc_id": doc_id,
-                "algorithm": algo,
-                "k": args.k,
-                "realized": frac_str(realized),
-                "total": frac_str(total),
-                "pct": _pct_1dp(realized, total),
-                "millis": millis,
-                "_ratio": realized / total,
-            }
-        )
-    return rows
+    return [
+        (doc_id, algo, realized_profit(_lay_out(algo, graph, box_map, args), graph), total)
+        for algo in args.algos
+    ]
 
 
 def cmd_bench(args) -> int:
@@ -220,29 +205,20 @@ def cmd_bench(args) -> int:
     # its report is the only line on stderr.
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(
-                handle,
-                fieldnames=[
-                    "doc_id",
-                    "algorithm",
-                    "k",
-                    "realized",
-                    "total",
-                    "pct",
-                    "millis",
-                ],
-                extrasaction="ignore",
+            writer = csv.writer(handle)
+            writer.writerow(("doc_id", "algorithm", "k", "realized", "total", "pct"))
+            writer.writerows(
+                (doc_id, algo, args.k, frac_str(r), frac_str(t), _pct_1dp(r, t))
+                for doc_id, algo, r, t in all_rows
             )
-            writer.writeheader()
-            writer.writerows(all_rows)
     for doc_id in unread:
         print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
     for doc_id in skipped:
         print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
-    n_docs = len({r["doc_id"] for r in all_rows})
+    n_docs = len({doc_id for doc_id, *_ in all_rows})
     print(f"mean realized profit, k={args.k}, {n_docs} documents")
     for algo in args.algos:
-        ratios = [r["_ratio"] for r in all_rows if r["algorithm"] == algo]
+        ratios = [realized / total for _, a, realized, total in all_rows if a == algo]
         mean = sum(ratios, Fraction(0)) / len(ratios)
         print(f"  {algo:<12} {_pct_1dp(mean, Fraction(1)):>6}%")
     return 0
@@ -325,7 +301,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_MALFORMED, "invalid-instance", str(exc))
     except CrownError as exc:
         return _fail(EXIT_MALFORMED, type(exc).__name__, str(exc))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         return _fail(EXIT_MALFORMED, "io", str(exc))
 
 

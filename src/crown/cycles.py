@@ -220,10 +220,10 @@ def decompose_cycle_covers(
     perfect matching of the resulting regular bipartite out/in incidence
     graph, and a group loses one copy per matched pair it carries.
     Restricting each factor to the first copy's real edges yields the
-    covers; every edge lands in exactly one.  A round costs O(n + E),
-    whatever the padding.  ``stop``, when given, sees each cover as it
-    is found; once it returns True the covers so far are returned, a
-    prefix of the k.
+    covers; every edge lands in exactly one.  A round's Euler orientation
+    costs O(n + E), whatever the padding, but its augmenting-path matching
+    is superlinear.  ``stop``, when given, sees each cover as it is found;
+    once it returns True the covers so far are returned, a prefix of the k.
     """
     real_edges = [(a, b) for a, b, _ in graph.edges()]
     if not real_edges:

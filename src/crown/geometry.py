@@ -21,44 +21,47 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import DuplicateIdError, OverlapError, ParameterError
 
 
-# Fraction("1e99999999") computes 10**99999999, which takes minutes, and
-# so does Fraction(Decimal("1e99999999")); a value past this exponent also
-# has more digits than int() reads by default.
+# Fraction("1e99999999") computes 10**99999999, which takes minutes; a
+# value past this exponent also has more digits than int() reads by default.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, Decimals and Fractions to
-    Fraction.
+    """The one reader of outside rationals: a Fraction as it is, a string
+    like ``"3/4"``, ``"-1.5"`` or ``"2e3"``, or an int, as a Fraction.
 
     Raises ParameterError for a string that is not a rational, has a
     zero denominator or an exponent past ``MAX_EXPONENT`` in size, and
-    for a Decimal that is not finite or has such an exponent.  A float
-    raises TypeError: passing one is a programming error, outside the
-    ``CrownError`` contract.
+    for any other type but float.  A float raises TypeError: passing one
+    is a programming error, outside the ``CrownError`` contract.
     """
+    # Fraction, then str: a type test before them slows document parsing.
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; pass an exact rational")
-    try:
-        exponent = isinstance(value, str) and _EXPONENT.search(value)
-        exponent = int(exponent[1]) if exponent else 0
-        if isinstance(value, Decimal):
-            exponent = value.as_tuple().exponent  # "n", "N" or "F" when not finite
-        if isinstance(exponent, str) or abs(exponent) > MAX_EXPONENT:
-            raise ValueError
+    if isinstance(value, str):
+        # ASCII "digits/digits", as frac_str writes it, skips Fraction's
+        # regex; int() alone would also take "_", spaces and signs.
+        p, slash, q = value.partition("/")
+        try:
+            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+                return Fraction(int(p), int(q))
+            exponent = _EXPONENT.search(value)
+            if not exponent or abs(int(exponent[1])) <= MAX_EXPONENT:
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, int):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"not an exact rational: {value!r}") from None
+    elif isinstance(value, float):
+        raise TypeError(f"refusing float {value!r}; pass an exact rational")
+    raise ParameterError(f"not an exact rational: {value!r}")
 
 
 def denominator_lcm(values: Iterable) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import FormatError, TooLargeError
+from .errors import FormatError, ParameterError, TooLargeError
 from .geometry import BoxSpec, Layout, ProfitGraph, contact_profit, detect_contacts, rat
 from .hier import EmbeddedDag
 from .triangulation import TriangulationInstance
@@ -32,20 +32,13 @@ def frac_str(value: Fraction) -> str:
 
 
 def parse_frac(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise FormatError(f"{where}: expected a \"p/q\" string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
-            # ASCII "digits/digits" (frac_str of a value >= 0) skips Fraction's
-            # regex; int() alone would also take "_", spaces and signs.
-            p, slash, q = value.partition("/")
-            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-                return Fraction(int(p), int(q))
             return rat(value)
-        except (ValueError, ZeroDivisionError):  # ParameterError is a ValueError
-            raise FormatError(f"{where}: bad rational {value!r}")
+        except ParameterError:
+            raise FormatError(f"{where}: bad rational {value!r}") from None
+    if type(value) is int:
+        return Fraction(value)
     raise FormatError(f"{where}: expected a \"p/q\" string, got {value!r}")
 
 

@@ -9,6 +9,7 @@ numerator and denominator over the layout's unit
 (:func:`crown.geometry.int_extents`), with no Fraction arithmetic.
 """
 
+import re
 import zlib
 from typing import Mapping, Optional, Tuple
 
@@ -51,15 +52,22 @@ def _margin(side: int, unit: int) -> Tuple[int, int]:
     return (side, 20) if 64 * side >= 20 * unit else (unit, 64)
 
 
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text: str) -> str:
     """XML character data: the three replacements of
     ``xml.sax.saxutils.escape``, whose import pulls in ``urllib`` and
-    ``http.client`` (about 2 MB resident)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    ``http.client`` (about 2 MB resident), and U+FFFD for each code point
+    that XML 1.0 forbids: C0 controls but tab, LF and CR, lone surrogates
+    (which UTF-8 cannot encode), U+FFFE and U+FFFF, none of them printable."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
 
 
 def fill_color(box_id: str) -> str:
-    return PALETTE[zlib.crc32(box_id.encode("utf-8")) % len(PALETTE)]
+    # "surrogatepass" gives a lone surrogate, valid in a JSON id, a colour
+    return PALETTE[zlib.crc32(box_id.encode("utf-8", "surrogatepass")) % len(PALETTE)]
 
 
 def render_svg(lay: Layout, labels: Optional[Mapping[str, str]] = None) -> str:

@@ -475,22 +475,19 @@ def test_criterion_10_determinism(criterion, tmp_path):
         shutil.copy(REPO / "corpus" / name, mini / name)
 
     identical = True
-    for args, svg in (
-        (["layout", str(inst), "--algo", "random", "--seed", "11"], "r.svg"),
-        (["layout", str(inst), "--algo", "star-forest"], "s.svg"),
-        (["layout", str(inst), "--algo", "cycle-cover"], "c.svg"),
-        (["hier", str(dag_path), "--delta", "1/2"], "h.svg"),
-        (["tri", str(tri_path)], "t.svg"),
-        (["bench", str(mini)], None),
+    for args, flag, name in (
+        (["layout", str(inst), "--algo", "random", "--seed", "11"], "--svg", "r.svg"),
+        (["layout", str(inst), "--algo", "star-forest"], "--svg", "s.svg"),
+        (["layout", str(inst), "--algo", "cycle-cover"], "--svg", "c.svg"),
+        (["hier", str(dag_path), "--delta", "1/2"], "--svg", "h.svg"),
+        (["tri", str(tri_path)], "--svg", "t.svg"),
+        (["bench", str(mini)], "--csv", "b.csv"),
     ):
-        if svg is not None:
-            args = args + ["--svg", str(tmp_path / svg)]
+        args = args + [flag, str(tmp_path / name)]
         runs = []
         for _ in range(2):
             out = _run_cli(args, REPO)
-            runs.append(
-                (out, (tmp_path / svg).read_bytes() if svg is not None else b"")
-            )
+            runs.append((out, (tmp_path / name).read_bytes()))
         if runs[0] != runs[1]:
             identical = False
     elapsed = time.monotonic() - start
@@ -498,6 +495,6 @@ def test_criterion_10_determinism(criterion, tmp_path):
         10,
         identical,
         f"layout (all 3 algos), hier, tri, bench reruns byte-identical "
-        f"(JSON stdout + SVG), {elapsed:.1f}s",
+        f"(stdout + SVG or CSV), {elapsed:.1f}s",
     )
     assert identical

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,10 +63,14 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         lambda: BoxSpec("a", "x", 1),
         lambda: BoxSpec("a", "1/0", 1),
         lambda: BoxSpec("a", "1e99999999", 1),
+        lambda: BoxSpec("a", None, 1),
+        lambda: BoxSpec("a", Decimal("1.5"), 1),
         lambda: knapsack_fptas([(1, 1)], 1, "x"),
+        lambda: knapsack_fptas([(1, 1)], 1, [1]),
         lambda: ProfitGraph.key("a", "a"),
         lambda: ProfitGraph().add_edge("a", "a", 1),
         lambda: ProfitGraph().add_edge("a", "b", -1),
+        lambda: ProfitGraph().add_edge("a", "b", b"1/2"),
         lambda: ProfitGraph("ab", {("a", "b"): -1}),
         lambda: GapItem("i", (-1,), 1),
         lambda: GapItem("i", (1,), -1),
@@ -82,8 +87,9 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
-        "box-zero-denominator", "box-huge-exponent", "knapsack-bad-eps", "key-self-loop",
-        "edge-self-loop", "edge-negative-profit", "graph-negative-profit",
+        "box-zero-denominator", "box-huge-exponent", "box-none", "box-decimal",
+        "knapsack-bad-eps", "knapsack-list-eps", "key-self-loop",
+        "edge-self-loop", "edge-negative-profit", "edge-bytes-profit", "graph-negative-profit",
         "item-negative-size", "item-negative-value",
         "gap-wrong-arity", "star-leaf-is-center", "star-leaf-without-profit",
         "dag-unknown-vertex", "dag-sink", "dag-assign-y", "dag-sweep-order",
@@ -95,11 +101,6 @@ def test_bad_parameters_raise_crown_errors(build):
     with pytest.raises(CrownError) as info:
         build()
     assert isinstance(info.value, ValueError)
-
-
-# The spiral of the random baseline is the one float path left; an exact
-# spiral empties this set.
-FLOAT_ALLOWED = {"pipeline.random_baseline"}
 
 
 def _float_uses(node) -> bool:
@@ -117,24 +118,6 @@ def _float_uses(node) -> bool:
     return False
 
 
-def test_no_floating_point_outside_the_random_baseline():
-    offenders = []
-    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
-            if scope in FLOAT_ALLOWED:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno} in {scope}"
-                for node in ast.walk(top) if _float_uses(node)
-            ]
-    assert offenders == []
-
-
-# Rationals become whole counts of 1/unit in one place.
-UNIT_ALLOWED = {"geometry.on_unit"}
-
-
 def _unit_conversion(node) -> bool:
     """``x.numerator * (u // ... x.denominator ...)``, in either order."""
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
@@ -149,24 +132,6 @@ def _unit_conversion(node) -> bool:
     return False
 
 
-def test_rationals_go_on_a_unit_only_in_on_unit():
-    offenders = []
-    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
-            if scope in UNIT_ALLOWED:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno} in {scope}"
-                for node in ast.walk(top) if _unit_conversion(node)
-            ]
-    assert offenders == []
-
-
-# Edges are ranked by profit in one place, on integer counts.
-RANKING_ALLOWED = {"stars._ranked"}
-
-
 def _keyed_edge_sort(node) -> bool:
     """``sorted(<x>.edges(), key=...)``."""
     if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"
@@ -174,22 +139,6 @@ def _keyed_edge_sort(node) -> bool:
         return False
     target = node.args[0]
     return isinstance(target, ast.Call) and getattr(target.func, "attr", None) == "edges"
-
-
-def test_edges_are_ranked_only_in_stars_ranked():
-    # stars._ranked sorts on on_unit counts; a key on the Fraction profits
-    # elsewhere would be a second, slower ranking
-    offenders = []
-    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
-            if scope in RANKING_ALLOWED:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno} in {scope}"
-                for node in ast.walk(top) if _keyed_edge_sort(node)
-            ]
-    assert offenders == []
 
 
 def _indented_dumps(node) -> bool:
@@ -201,13 +150,45 @@ def _indented_dumps(node) -> bool:
     return name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords)
 
 
-def test_documents_are_pretty_printed_only_by_dumps_doc():
+def _slash_split(node) -> bool:
+    """A ``.partition("/")`` call."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "partition"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "/")
+
+
+# (rule, predicate, the top-level definitions allowed to match it).
+SOURCE_RULES = [
+    # The spiral of the random baseline is the one float path left; an
+    # exact spiral empties its set.
+    ("floats", _float_uses, {"pipeline.random_baseline"}),
+    # Rationals become whole counts of 1/unit in one place.
+    ("on-unit", _unit_conversion, {"geometry.on_unit"}),
+    # stars._ranked sorts on on_unit counts; a key on the Fraction profits
+    # elsewhere would be a second, slower ranking.
+    ("ranked", _keyed_edge_sort, {"stars._ranked"}),
     # serialize.dumps_doc writes the indented text itself; json.dumps with
     # an indent runs the pure-Python encoder.
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _indented_dumps(node)
-    ]
+    ("dumps-doc", _indented_dumps, set()),
+    # Outside text becomes a rational in one reader, with one fast path.
+    ("rat", _slash_split, {"geometry.rat"}),
+]
+
+
+@pytest.mark.parametrize(
+    "predicate, allowed",
+    [rule[1:] for rule in SOURCE_RULES],
+    ids=[rule[0] for rule in SOURCE_RULES],
+)
+def test_source_rule(predicate, allowed):
+    offenders = []
+    for path in sorted(Path(crown.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if scope in allowed:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} in {scope}"
+                for node in ast.walk(top) if predicate(node)
+            ]
     assert offenders == []

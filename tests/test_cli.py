@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,7 +241,7 @@ def test_bench_csv_schema(tmp_path, capsys):
     with out_csv.open(encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     assert rows and list(rows[0]) == [
-        "doc_id", "algorithm", "k", "realized", "total", "pct", "millis"
+        "doc_id", "algorithm", "k", "realized", "total", "pct"
     ]
     algos = {r["algorithm"] for r in rows}
     assert algos == {"star-forest", "cycle-cover", "random"}
@@ -488,6 +489,32 @@ def test_json_int_too_long_to_read_is_a_format_error(tmp_path, command):
     doc = tmp_path / "long.json"
     doc.write_text('{"boxes": [{"id": "a", "w": ' + "1" * 5000 + ', "h": 1}]}', encoding="utf-8")
     assert_one_failure_line(run_cli(command, doc), "format")
+
+
+@pytest.mark.parametrize(
+    "box_id, labels",
+    [("a\ud800", None), ("a", {"a": "x\u0001y"})],
+    ids=["lone-surrogate-id", "control-character-label"],
+)
+def test_svg_of_any_json_string_is_well_formed(tmp_path, box_id, labels):
+    # A lone surrogate is valid JSON but not UTF-8, and a C0 control is
+    # valid JSON but not XML 1.0: both become U+FFFD in the SVG.
+    inst, svg = tmp_path / "inst.json", tmp_path / "out.svg"
+    boxes, graph = [BoxSpec(box_id, rat(1), rat(1))], ProfitGraph([box_id])
+    inst.write_text(dumps_doc(instance_to_doc(boxes, graph, labels)), encoding="utf-8")
+    proc = run_cli("layout", inst, "--svg", svg)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = ET.fromstring(svg.read_bytes()).find("{http://www.w3.org/2000/svg}text").text
+    assert text == ("a\ufffd" if labels is None else "x\ufffdy")
+
+
+def test_bench_csv_of_an_undecodable_file_name_exits_2(tmp_path):
+    # The 0xFF byte reads back as a lone surrogate that the UTF-8 CSV
+    # cannot hold.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(REPO / "corpus" / "tides.txt", os.fsencode(corpus) + b"/\xff.txt")
+    assert_one_failure_line(run_cli("bench", corpus, "--csv", tmp_path / "x.csv"), "io")
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def _triangulation_doc() -> dict:
 
 
 BASE = {"layout": _instance_doc(), "hier": _dag_doc(), "tri": _triangulation_doc()}
-IDS = ["hub", "a", "b", "c", "s", "N", "E", "S", "W", "t0", ""]
+IDS = ["hub", "a", "b", "c", "s", "N", "E", "S", "W", "t0", "", "\ud800", "x\x01y", "é"]
 
 # Rationals as the documents and flags spell them, valid or not.
 RATIONALS = [

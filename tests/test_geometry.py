@@ -66,12 +66,6 @@ def test_rat_refuses_a_decimal_not_finite_or_past_the_exponent_limit(text):
         rat(Decimal(text))
 
 
-def test_rat_reads_a_decimal_up_to_the_exponent_limit():
-    assert rat(Decimal("-1.25")) == Fraction(-5, 4)
-    assert rat(Decimal(f"1e{MAX_EXPONENT}")) == 10**MAX_EXPONENT
-    assert rat(Decimal(f"3e-{MAX_EXPONENT}")) == Fraction(3, 10**MAX_EXPONENT)
-
-
 def test_denominator_lcm_is_one_on_integers_and_empty_input():
     assert denominator_lcm([]) == 1
     assert denominator_lcm([3, -7, Fraction(8, 4)]) == 1
