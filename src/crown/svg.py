@@ -60,9 +60,9 @@ def _escape(text: str) -> str:
     ``xml.sax.saxutils.escape``, whose import pulls in ``urllib`` and
     ``http.client`` (about 2 MB resident), and U+FFFD for each code point
     that XML 1.0 forbids: C0 controls but tab, LF and CR, lone surrogates
-    (which UTF-8 cannot encode), U+FFFE and U+FFFF, none of them printable."""
+    (which UTF-8 cannot encode), U+FFFE and U+FFFF."""
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
+    return _NOT_XML.sub("\ufffd", text)
 
 
 def fill_color(box_id: str) -> str:

@@ -60,8 +60,7 @@ def test_rat_accepts_exact_types_only():
     "text", ["Infinity", "-Infinity", "NaN", "sNaN", "1e9999999", "-2e-9999999", f"1e{MAX_EXPONENT + 1}"]
 )
 def test_rat_refuses_a_decimal_not_finite_or_past_the_exponent_limit(text):
-    # Fraction(Decimal) raises OverflowError on an infinity and expands
-    # 10**exponent first, for minutes at 1e9999999
+    # rat refuses every Decimal by its type, before reading its value
     with pytest.raises(ParameterError, match="not an exact rational"):
         rat(Decimal(text))
 
