@@ -12,6 +12,7 @@ layout, and the report carries the failing ``stage`` and its ``witness``.
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -136,17 +137,10 @@ def cmd_layout(args) -> int:
     return 0
 
 
-def _unit_graph(vertices, edges) -> ProfitGraph:
-    graph = ProfitGraph(vertices=vertices)
-    for u, v in edges:
-        graph.add_edge(u, v, 1)
-    return graph
-
-
 def cmd_hier(args) -> int:
     dag, boxes = parse_dag(_read_doc(args.dag))
     lay = solve_hier(dag, boxes, args.delta)
-    graph = _unit_graph(dag.vertices, dag.edges)
+    graph = ProfitGraph(dag.vertices, dict.fromkeys(dag.edges, 1))
     _emit(layout_to_doc(lay, graph), lay, None, args.out, args.svg)
     return 0
 
@@ -154,7 +148,7 @@ def cmd_hier(args) -> int:
 def cmd_tri(args) -> int:
     inst = parse_triangulation(_read_doc(args.instance))
     lay = realize_triangulation(inst)
-    graph = _unit_graph(inst.boxes, inst.edges())
+    graph = ProfitGraph(inst.boxes, dict.fromkeys(inst.edges(), 1))
     _emit(layout_to_doc(lay, graph), lay, None, args.out, args.svg)
     return 0
 
@@ -201,16 +195,17 @@ def cmd_bench(args) -> int:
         return _fail(
             EXIT_MALFORMED, "empty", "every document has no profits", witness=skipped
         )
-    # The CSV goes first so that a failed write leaves stdout empty and
-    # its report is the only line on stderr.
+    # The CSV is encoded whole, then written first: a row UTF-8 cannot hold
+    # leaves no file behind, and a failure leaves stdout empty.
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("doc_id", "algorithm", "k", "realized", "total", "pct"))
-            writer.writerows(
-                (doc_id, algo, args.k, frac_str(r), frac_str(t), _pct_1dp(r, t))
-                for doc_id, algo, r, t in all_rows
-            )
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(("doc_id", "algorithm", "k", "realized", "total", "pct"))
+        writer.writerows(
+            (doc_id, algo, args.k, frac_str(r), frac_str(t), _pct_1dp(r, t))
+            for doc_id, algo, r, t in all_rows
+        )
+        Path(args.csv).write_bytes(text.getvalue().encode("utf-8"))
     for doc_id in unread:
         print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
     for doc_id in skipped:

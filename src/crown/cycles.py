@@ -259,13 +259,12 @@ def decompose_cycle_covers(
         factor = _perfect_matching(_euler_orient(adj, count))
         for g in factor:
             count[g] -= 1
-        adj = [[e for e in lst if count[e[1]]] for lst in adj]
         # Never empty: a max-degree vertex has at most one padding copy.
         covers.append(tuple(sorted(real_edges[g] for g in factor if g < m)))
         if stop is not None and stop(covers[-1]):
             break
     else:
-        assert not any(adj)
+        assert not any(count)
     return CycleCover(tuple(covers))
 
 

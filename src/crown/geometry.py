@@ -64,20 +64,15 @@ def rat(value) -> Fraction:
     raise ParameterError(f"not an exact rational: {value!r}")
 
 
-def denominator_lcm(values: Iterable) -> int:
-    """Least common multiple of the denominators of ints and Fractions (1
-    when there are none): the smallest unit that makes every value whole."""
-    return math.lcm(*(v.denominator for v in values))
-
-
 def on_unit(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
-    """``(unit, counts)``: ``unit`` is the :func:`denominator_lcm` of the
-    ints and Fractions ``values``, and ``counts`` holds each value, in
-    order, as a whole number of ``1/unit``.  Scaling by the positive
-    ``unit`` keeps every sum and comparison, so exact integer code can
-    run on the counts and turn back with ``Fraction(count, unit)``."""
+    """``(unit, counts)``: ``unit`` is the least common multiple of the
+    denominators of the ints and Fractions ``values`` (1 for none), and
+    ``counts`` holds each value, in order, as a whole number of ``1/unit``.
+    Scaling by the positive ``unit`` keeps every sum and comparison, so
+    exact integer code can run on the counts and turn back with
+    ``Fraction(count, unit)``."""
     values = list(values)
-    unit = denominator_lcm(values)
+    unit = math.lcm(*(v.denominator for v in values))
     return unit, [v.numerator * (unit // v.denominator) for v in values]
 
 
@@ -312,10 +307,7 @@ def pack_components(layouts: Iterable[Layout], boxes: Mapping[str, BoxSpec]) -> 
         dx = cursor - Fraction(x1, unit)
         dy = Fraction(y1, unit)
         for i, (x, y) in component.pos.items():
-            if i in merged.boxes:
-                raise DuplicateIdError(i)
-            merged.boxes[i] = component.boxes[i]
-            merged.pos[i] = (x + dx, y - dy)
+            merged.place(component.boxes[i], x + dx, y - dy)
         cursor += Fraction(x2 - x1, unit) + 1
     for i in sorted(boxes.keys() - merged.boxes.keys()):
         merged.place(boxes[i], cursor, 0)

@@ -117,7 +117,9 @@ def preprocess(text: str) -> WordStats:
 
 
 def top_stems(stats: WordStats, k: int) -> List[str]:
-    """The k most frequent stems, ties by stem; ParameterError for k < 0."""
+    """The k most frequent stems, ties by stem; ParameterError unless k is an int >= 0."""
+    if not isinstance(k, int):
+        raise ParameterError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
     return sorted(stats.freq, key=lambda s: (-stats.freq[s], s))[:k]
@@ -136,6 +138,8 @@ def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
     share one Fraction: on the 2**-20 grid a large graph has few distinct
     profits.
     """
+    if not isinstance(k, int):
+        raise ParameterError(f"k must be an int, got {k!r}")
     if k < 2:
         raise InvalidInstanceError(f"need k >= 2, got {k}")
     stems = top_stems(stats, k)

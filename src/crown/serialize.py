@@ -154,7 +154,6 @@ def instance_to_doc(
 def parse_instance(doc) -> InstanceDoc:
     boxes = _boxes(doc, "instance")
     graph = ProfitGraph(vertices=boxes)
-    seen_pairs = set()
     for i, entry in enumerate(_require(doc, "profits", list, "instance")):
         where = f"instance.profits[{i}]"
         a = _require(entry, "a", str, where)
@@ -164,10 +163,8 @@ def parse_instance(doc) -> InstanceDoc:
             raise FormatError(f"{where}: unknown box id")
         if a == b:
             raise FormatError(f"{where}: self-loop on {a!r}")
-        key = ProfitGraph.key(a, b)
-        if key in seen_pairs:
-            raise FormatError(f"{where}: duplicate edge {key}")
-        seen_pairs.add(key)
+        if graph.has_edge(a, b):
+            raise FormatError(f"{where}: duplicate edge {ProfitGraph.key(a, b)}")
         if p < 0:
             raise FormatError(f"{where}: negative profit")
         graph.add_edge(a, b, p)

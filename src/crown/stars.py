@@ -71,9 +71,6 @@ class StarForest:
 
     stars: Tuple[Star, ...]
 
-    def edges(self) -> List[Tuple[str, str]]:
-        return [(s.center, leaf) for s in self.stars for leaf in s.leaves]
-
 
 # solve_star runs one GAP solve per corner subset of up to 4 pool leaves
 # that the corner bound does not skip, Theta(pool**4) in all: at eps 1/4,
@@ -94,9 +91,11 @@ _CORNER_OFFSETS = (
 
 def _check_star_params(eps, corner_candidates: Optional[int]) -> Fraction:
     """``eps`` as a Fraction; ParameterError for eps outside (0, 1) or a
-    negative corner cap."""
-    if corner_candidates is not None and corner_candidates < 0:
-        raise ParameterError(f"corner_candidates must be >= 0, got {corner_candidates}")
+    corner cap that is not an int >= 0."""
+    if corner_candidates is not None and (
+        not isinstance(corner_candidates, int) or corner_candidates < 0
+    ):
+        raise ParameterError(f"corner_candidates must be an int >= 0, got {corner_candidates!r}")
     return check_eps(eps)
 
 
@@ -421,10 +420,12 @@ def max_crown_stars(
     return best_lay
 
 
-def _block_path(vblocks, bverts, a: int, b: int) -> Optional[List[int]]:
-    """Blocks on the block-cut-forest path from a to b; None when b is in
-    another component.  The path is unique, so breadth-first search finds
-    it; only cut vertices (in two or more blocks) lead on to new blocks."""
+def _block_path(vblocks, bverts, a: int, b: int) -> Optional[List[Tuple[int, int]]]:
+    """The blocks on the block-cut-forest path from b to a, each with the
+    vertex it was entered from: the cut vertex toward a, or a itself in
+    the last block; None when b is in another component.  The path is
+    unique, so breadth-first search finds it; only cut vertices (in two
+    or more blocks) lead on to new blocks."""
     via: Dict[int, int] = {}  # block -> the vertex it was entered from
     prev: Dict[int, Optional[int]] = {a: None}  # vertex -> block it was reached through
     queue = deque([a])
@@ -435,10 +436,11 @@ def _block_path(vblocks, bverts, a: int, b: int) -> Optional[List[int]]:
                 continue
             via[blk] = v
             if b in bverts[blk]:
-                path = [blk]
+                path = [(blk, v)]
                 while prev[v] is not None:
-                    path.append(prev[v])
-                    v = via[prev[v]]
+                    blk = prev[v]
+                    v = via[blk]
+                    path.append((blk, v))
                 return path
             for u in bverts[blk]:
                 if u not in prev and len(vblocks[u]) > 1:
@@ -664,20 +666,21 @@ def _planar_on(verts, edges: Sequence[Tuple[int, int]]) -> bool:
     return _is_planar(len(verts), [(idx[u], idx[v]) for u, v in edges])
 
 
-def _path_stays_planar(path, a: int, b: int, bedges, bverts, adj, forbidden) -> bool:
+def _path_stays_planar(path, b: int, bedges, bverts, adj, forbidden) -> bool:
     """Whether the kept graph stays planar with (a, b) added, where
-    ``path`` holds the blocks B1..Bk from b to a.
+    ``path`` pairs the blocks B1..Bk from b to a with the vertices c1..ck
+    they were entered from (see ``_block_path``; ck = a).
 
-    With the cut vertices c0 = b, c1, .., ck = a between them, that holds
-    exactly when every Bi plus the virtual edge (c(i-1), ci) is planar:
-    each is a minor of the union plus (a, b), and their embeddings glue
-    back along the virtual edges, which can be drawn on the outer face.
-    A pair already kept adds nothing.  A pair once found non-planar stays
-    so, because the kept graph only grows: it goes into ``forbidden`` and
-    fails later paths with no test.  Every block is held to 3V-6 before
-    any test runs.  Then the blocks are tested smallest first; when the
-    closed neighbourhoods of the pair cover less than the block, a minor
-    of the block plus the pair is tested first: the block's subgraph
+    With c0 = b, that holds exactly when every Bi plus the virtual edge
+    (c(i-1), ci) is planar: each is a minor of the union plus (a, b),
+    and their embeddings glue back along the virtual edges, which can be
+    drawn on the outer face.  A pair already kept adds nothing.  A pair
+    once found non-planar stays so, because the kept graph only grows:
+    it goes into ``forbidden`` and fails later paths with no test.  The
+    blocks are tested smallest first, each by ``_planar_on``, which
+    holds it to 3V-6 before any left-right test; when the closed
+    neighbourhoods of the pair cover less than the block, a minor of the
+    block plus the pair is tested first: the block's subgraph
     induced on them, one vertex per component of the rest of the block,
     joined to the neighbourhood vertices that component touches, and the
     pair, last.  A minor of a planar graph is planar, so its reject is
@@ -685,15 +688,10 @@ def _path_stays_planar(path, a: int, b: int, bedges, bverts, adj, forbidden) -> 
     """
     tests = []
     x = b
-    for i, blk in enumerate(path):
-        if i + 1 < len(path):
-            (y,) = bverts[blk] & bverts[path[i + 1]]
-        else:
-            y = a
+    for blk, y in path:
         if y not in adj[x]:
             pair = (x, y) if x < y else (y, x)
-            if pair in forbidden or len(bedges[blk]) + 1 > 3 * len(bverts[blk]) - 6:
-                forbidden.add(pair)
+            if pair in forbidden:
                 return False
             tests.append((len(bedges[blk]), blk, pair))
         x = y
@@ -736,13 +734,12 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
     (a bridge) is kept without a test.  Otherwise each block on the path
     is tested alone with one virtual edge between the cut vertices where
     the path enters and leaves it (see ``_path_stays_planar``): pairs
-    already rejected fail at once, a block past 3V-6 fails without a
-    test, and a minor of the block around the pair is tried before the
-    whole block.  The test is the boolean left-right test ``_is_planar``
-    on the graph relabelled to 0..V-1 in id order.  The bookkeeping runs
-    on vertex numbers given once in id order, so sorting numbers sorts
-    ids, and no set order (nor the test's work) follows the string hash
-    seed.
+    already rejected fail at once, and a minor of the block around the
+    pair is tried before the whole block, which fails past 3V-6 untested.
+    The test is the boolean left-right test ``_is_planar`` on the graph
+    relabelled to 0..V-1 in id order.  The bookkeeping runs on vertex
+    numbers given once in id order, so sorting numbers sorts ids, and no
+    set order (nor the test's work) follows the string hash seed.
     The result is the same as testing the whole running graph after
     every edge.
     """
@@ -761,15 +758,16 @@ def maximal_planar_subgraph(graph: ProfitGraph) -> ProfitGraph:
         if path is None:
             edges, verts = [(ia, ib)], {ia, ib}
         else:
-            if not _path_stays_planar(path, ia, ib, bedges, bverts, adj, forbidden):
+            if not _path_stays_planar(path, ib, bedges, bverts, adj, forbidden):
                 continue
-            edges = [e for blk in path for e in bedges[blk]]
+            merged = [blk for blk, _ in path]
+            edges = [e for blk in merged for e in bedges[blk]]
             edges.append((ia, ib))
-            verts = set().union(*(bverts[blk] for blk in path))
-            for blk in path:
+            verts = set().union(*(bverts[blk] for blk in merged))
+            for blk in merged:
                 del bedges[blk], bverts[blk]
             for v in verts:
-                vblocks[v].difference_update(path)
+                vblocks[v].difference_update(merged)
         bedges[new], bverts[new] = edges, verts
         for v in verts:
             vblocks[v].add(new)

@@ -41,8 +41,8 @@ from crown.geometry import (
     Layout,
     ProfitGraph,
     _classify,
-    denominator_lcm,
     detect_contacts,
+    on_unit,
     pack_components,
     rat,
 )
@@ -389,6 +389,7 @@ def maximal_planar_subgraph_union(graph: ProfitGraph) -> ProfitGraph:
         if path is None:
             edges, verts = [(ia, ib)], {ia, ib}
         else:
+            path = [blk for blk, _ in path]
             edges = [e for blk in path for e in bedges[blk]]
             edges.append((ia, ib))
             verts = set().union(*(bverts[blk] for blk in path))
@@ -408,21 +409,16 @@ def maximal_planar_subgraph_union(graph: ProfitGraph) -> ProfitGraph:
     return kept
 
 
-def path_stays_planar_near(path, a: int, b: int, bedges, bverts, adj, forbidden) -> bool:
+def path_stays_planar_near(path, b: int, bedges, bverts, adj, forbidden) -> bool:
     """``stars._path_stays_planar`` with the block's subgraph induced on
     the pair's closed neighbourhoods, plus the pair, as the pre-test in
     place of the contracted minor."""
     tests = []
     x = b
-    for i, blk in enumerate(path):
-        if i + 1 < len(path):
-            (y,) = bverts[blk] & bverts[path[i + 1]]
-        else:
-            y = a
+    for blk, y in path:
         if y not in adj[x]:
             pair = (x, y) if x < y else (y, x)
-            if pair in forbidden or len(bedges[blk]) + 1 > 3 * len(bverts[blk]) - 6:
-                forbidden.add(pair)
+            if pair in forbidden:
                 return False
             tests.append((len(bedges[blk]), blk, pair))
         x = y
@@ -464,7 +460,7 @@ def knapsack_fptas_unpruned(
     n = len(usable)
 
     # Integer sizes: clear denominators once per call.
-    den = denominator_lcm([capacity, *(s for _, s, _ in usable)])
+    den = on_unit([capacity, *(s for _, s, _ in usable)])[0]
     cap_i = int(capacity * den)
     scale = n / (eps * v_max)  # 1/K
     scaled = [(idx, int(s * den), int(v * scale)) for idx, s, v in usable]

@@ -17,7 +17,8 @@ from crown.errors import CrownError
 from crown.gap import GapInstance, GapItem, knapsack_fptas
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag, assign_y, solve_x, sweep_order
-from crown.stars import StarInstance
+from crown.pipeline import document_instance, preprocess, similarity_profits, top_stems
+from crown.stars import StarInstance, max_crown_stars, solve_star
 
 SUBMODULES = [
     "cycles", "errors", "gap", "geometry", "hier",
@@ -53,6 +54,7 @@ def _unit(bid):
 
 
 SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
+TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
 
 
 @pytest.mark.parametrize(
@@ -84,6 +86,16 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         lambda: solve_x({"a": 1, "b": 1}, SINKLESS.edges, (), Fraction(1, 2), "a"),
         lambda: solve_x({"a": 1}, [("a", "q")], (), Fraction(1, 10), "a"),
         lambda: solve_x({}, (), (), Fraction(1, 10), "z"),
+        lambda: max_crown_stars(
+            ProfitGraph("ab", {("a", "b"): 1}), {"a": _unit("a"), "b": _unit("b")},
+            Fraction(1, 4), "2",
+        ),
+        lambda: solve_star(
+            StarInstance(_unit("c"), (_unit("l"),), {"l": 1}), Fraction(1, 4), 1.5
+        ),
+        lambda: top_stems(preprocess(TEXT), 1.5),
+        lambda: similarity_profits(preprocess(TEXT), 2.5),
+        lambda: document_instance(TEXT, "5"),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
@@ -94,7 +106,9 @@ SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
         "gap-wrong-arity", "star-leaf-is-center", "star-leaf-without-profit",
         "dag-unknown-vertex", "dag-sink", "dag-assign-y", "dag-sweep-order",
         "dag-solve-x-unanchored", "dag-solve-x-unknown-endpoint",
-        "dag-solve-x-unknown-anchor",
+        "dag-solve-x-unknown-anchor", "max-stars-str-corners",
+        "solve-star-float-corners",
+        "top-stems-float-k", "similarity-float-k", "document-str-k",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):
@@ -157,6 +171,20 @@ def _slash_split(node) -> bool:
             and node.args[0].value == "/")
 
 
+def _layout_write(node) -> bool:
+    """An item assignment to ``<x>.pos[...]`` or ``<x>.boxes[...]``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(t, ast.Subscript) and getattr(t.value, "attr", None) in ("pos", "boxes")
+        for target in targets for t in ast.walk(target)
+    )
+
+
 # (rule, predicate, the top-level definitions allowed to match it).
 SOURCE_RULES = [
     # The spiral of the random baseline is the one float path left; an
@@ -172,6 +200,9 @@ SOURCE_RULES = [
     ("dumps-doc", _indented_dumps, set()),
     # Outside text becomes a rational in one reader, with one fast path.
     ("rat", _slash_split, {"geometry.rat"}),
+    # A box enters a layout only through Layout.place, which refuses a
+    # duplicate id.
+    ("layout-write", _layout_write, {"geometry.Layout"}),
 ]
 
 

@@ -508,13 +508,28 @@ def test_svg_of_any_json_string_is_well_formed(tmp_path, box_id, labels):
     assert text == ("a\ufffd" if labels is None else "x\ufffdy")
 
 
-def test_bench_csv_of_an_undecodable_file_name_exits_2(tmp_path):
-    # The 0xFF byte reads back as a lone surrogate that the UTF-8 CSV
-    # cannot hold.
+def undecodable_corpus(tmp_path):
+    """tides.txt and a copy named z<0xFF>.txt, whose name reads back as a
+    lone surrogate that the UTF-8 CSV cannot hold, in a row after the
+    tides rows."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    shutil.copy(REPO / "corpus" / "tides.txt", os.fsencode(corpus) + b"/\xff.txt")
-    assert_one_failure_line(run_cli("bench", corpus, "--csv", tmp_path / "x.csv"), "io")
+    shutil.copy(REPO / "corpus" / "tides.txt", corpus / "tides.txt")
+    shutil.copy(REPO / "corpus" / "tides.txt", os.fsencode(corpus) + b"/z\xff.txt")
+    return corpus
+
+
+def test_bench_csv_of_an_undecodable_file_name_exits_2(tmp_path):
+    out = tmp_path / "x.csv"
+    assert_one_failure_line(run_cli("bench", undecodable_corpus(tmp_path), "--csv", out), "io")
+    assert not out.exists()  # not even the header and the tides rows
+
+
+def test_bench_csv_that_fails_to_encode_keeps_the_old_file(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"doc_id\r\nold\r\n")
+    assert_one_failure_line(run_cli("bench", undecodable_corpus(tmp_path), "--csv", out), "io")
+    assert out.read_bytes() == b"doc_id\r\nold\r\n"
 
 
 @pytest.mark.parametrize(

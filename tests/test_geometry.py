@@ -21,7 +21,6 @@ from crown.geometry import (
     BoxSpec,
     Layout,
     ProfitGraph,
-    denominator_lcm,
     detect_contacts,
     on_unit,
     pack_components,
@@ -65,16 +64,17 @@ def test_rat_refuses_a_decimal_not_finite_or_past_the_exponent_limit(text):
         rat(Decimal(text))
 
 
-def test_denominator_lcm_is_one_on_integers_and_empty_input():
-    assert denominator_lcm([]) == 1
-    assert denominator_lcm([3, -7, Fraction(8, 4)]) == 1
+def test_on_unit_unit_is_one_on_integers_and_empty_input():
+    assert on_unit([])[0] == 1
+    assert on_unit([3, -7, Fraction(8, 4)])[0] == 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.fractions(max_denominator=1000), max_size=12))
-def test_denominator_lcm_matches_math_lcm(values):
-    assert denominator_lcm(values) == math.lcm(*(v.denominator for v in values))
-    assert all((v * denominator_lcm(values)).denominator == 1 for v in values)
+def test_on_unit_unit_matches_math_lcm(values):
+    unit = on_unit(values)[0]
+    assert unit == math.lcm(*(v.denominator for v in values))
+    assert all((v * unit).denominator == 1 for v in values)
 
 
 def test_on_unit_of_nothing_is_unit_one():
@@ -92,7 +92,7 @@ def test_on_unit_of_nothing_is_unit_one():
 def test_on_unit_counts_every_value_on_the_lcm(values):
     # ints, Fractions and mixes of both: one count per value, in order
     unit, counts = on_unit(values)
-    assert unit == denominator_lcm(values)
+    assert unit == math.lcm(*(v.denominator for v in values))
     assert len(counts) == len(values)
     for count, value in zip(counts, values):
         assert type(count) is int and Fraction(count, unit) == value

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown.errors import HierInfeasibleError, ParameterError
-from crown.geometry import BoxSpec, denominator_lcm, detect_contacts, rat
+from crown.geometry import BoxSpec, detect_contacts, on_unit, rat
 from crown.hier import (
     EmbeddedDag,
     EmbeddingViolation,
@@ -455,7 +455,7 @@ def test_solve_x_exact_past_a_64_bit_unit():
     edges = [(k, "s") for k in kids]
     order = list(zip(kids, kids[1:]))
     delta = Fraction(1, 127)
-    assert len(primes) == 30 and denominator_lcm([delta, *widths.values()]) > 2**64
+    assert len(primes) == 30 and on_unit([delta, *widths.values()])[0] > 2**64
     assert x_outcome(widths, edges, order, delta, "s") == "ok"
     left = solve_x(widths, edges, order, delta, "s")
     for a, b in order:

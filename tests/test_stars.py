@@ -239,7 +239,9 @@ def test_partition_planar_splits_planar_graphs_into_six_star_forests(kind, seed,
     assert len(classes) <= 3
     assert forests == [f for cls in classes for f in partition_tree(cls) if f.stars]
     assert len(forests) <= 6
-    landed = Counter(ProfitGraph.key(*e) for f in forests for e in f.edges())
+    landed = Counter(
+        ProfitGraph.key(s.center, leaf) for f in forests for s in f.stars for leaf in s.leaves
+    )
     assert set(landed.values()) <= {1}
     assert set(landed) == {ProfitGraph.key(a, b) for a, b, _ in g.edges()}
     for f in forests:
@@ -464,10 +466,10 @@ def test_block_graphs_reach_every_shortcut(monkeypatch):
     stays, planar_on = stars._path_stays_planar, stars._planar_on
     state = {}
 
-    def spy_path(path, a, b, bedges, bverts, adj, forbidden):
+    def spy_path(path, b, bedges, bverts, adj, forbidden):
         state.update(verts=bverts, adj=adj)
         before, tests = len(forbidden), seen["tests"]
-        ok = stays(path, a, b, bedges, bverts, adj, forbidden)
+        ok = stays(path, b, bedges, bverts, adj, forbidden)
         seen["long path"] += len(path) >= 3
         seen["forbidden"] += not ok and len(forbidden) == before and seen["tests"] == tests
         return ok
@@ -493,6 +495,31 @@ def test_block_graphs_reach_every_shortcut(monkeypatch):
     assert seen["contraction needed"] >= 5
 
 
+def test_block_path_enters_each_block_at_its_cut_vertex(monkeypatch):
+    # Each block on a path comes with the one vertex it shares with the
+    # next block, and the last block with a: the cut vertices that
+    # _path_stays_planar reads and no longer derives.
+    block_path = stars._block_path
+    seen = Counter()
+
+    def spy(vblocks, bverts, a, b):
+        path = block_path(vblocks, bverts, a, b)
+        if path is not None:
+            (first, _), (last, end) = path[0], path[-1]
+            assert b in bverts[first] and a in bverts[last] and end == a
+            for (blk, y), (nxt, _) in zip(path, path[1:]):
+                assert bverts[blk] & bverts[nxt] == {y}
+            seen["steps"] += len(path) - 1
+        return path
+
+    monkeypatch.setattr(stars, "_block_path", spy)
+    for seed in range(40):
+        maximal_planar_subgraph(rand_block_graph(random.Random(seed)))
+    for _, g in corpus_graphs(50):
+        maximal_planar_subgraph(g)
+    assert seen["steps"] >= 2000
+
+
 def minor_rejects_are_block_rejects(monkeypatch, graphs):
     """Run maximal_planar_subgraph on ``graphs`` while checking every
     call of the block decision against ``path_stays_planar_near``, the
@@ -503,11 +530,11 @@ def minor_rejects_are_block_rejects(monkeypatch, graphs):
     state = {}
     rejects = []
 
-    def spy_path(path, a, b, bedges, bverts, adj, forbidden):
+    def spy_path(path, b, bedges, bverts, adj, forbidden):
         state.update(path=path, bedges=bedges, bverts=bverts)
         old = set(forbidden)
-        want = path_stays_planar_near(path, a, b, bedges, bverts, adj, old)
-        assert stays(path, a, b, bedges, bverts, adj, forbidden) == want
+        want = path_stays_planar_near(path, b, bedges, bverts, adj, old)
+        assert stays(path, b, bedges, bverts, adj, forbidden) == want
         assert forbidden == old
         return want
 
@@ -516,7 +543,7 @@ def minor_rejects_are_block_rejects(monkeypatch, graphs):
         bverts = state["bverts"]
         if not ok and all(verts is not v for v in bverts.values()):
             x, y = edges[-1]
-            (blk,) = [blk for blk in state["path"] if {x, y} <= bverts[blk]]
+            (blk,) = [blk for blk, _ in state["path"] if {x, y} <= bverts[blk]]
             assert not planar_on(bverts[blk], state["bedges"][blk] + [(x, y)])
             rejects.append((x, y))
         return ok
