@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,11 +31,7 @@ from .errors import (
 )
 from .geometry import ProfitGraph, rat, realized_profit
 from .hier import solve_hier
-from .pipeline import (
-    document_instance,
-    load_corpus,
-    random_baseline,
-)
+from .pipeline import document_instance, load_corpus, random_baseline
 from .serialize import (
     dumps_doc,
     frac_str,
@@ -55,19 +52,16 @@ ALGORITHMS = ("star-forest", "cycle-cover", "random")
 
 
 def _jsonable(value):
+    """A witness (a dataclass, or lists of ids, Fractions and pairs) as JSON data."""
     if dataclasses.is_dataclass(value):
         return _jsonable(dataclasses.asdict(value))
     if isinstance(value, Fraction):
         return frac_str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return str(value)
+    return value
 
 
 def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
@@ -81,23 +75,32 @@ def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
 
 
 def _read_doc(path: str):
+    return loads_doc(Path(path).read_text(encoding="utf-8"))
+
+
+def _write_files(outputs) -> None:
+    """Write each ``(path, text)`` as UTF-8 to a temporary file beside its path,
+    then move them all into place; a failure removes the temporary files."""
+    data = [(path, text.encode("utf-8")) for path, text in outputs]
+    temps = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}")
-    return loads_doc(text)
+        for i, (path, chunk) in enumerate(data):
+            temp = f"{path}.{os.getpid()}-{i}.tmp"
+            with open(temp, "xb") as handle:
+                temps.append(temp)
+                handle.write(chunk)
+        for temp, (path, _) in zip(temps, data):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            Path(temp).unlink(missing_ok=True)
 
 
 def _emit(doc: dict, layout, labels, out_path, svg_path) -> None:
-    # The SVG goes first so that a failed write leaves stdout empty.
-    if svg_path:
-        Path(svg_path).write_text(
-            render_svg(layout, labels), encoding="utf-8"
-        )
     text = dumps_doc(doc)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+    svg = render_svg(layout, labels) if svg_path else None
+    _write_files([(path, body) for path, body in ((svg_path, svg), (out_path, text)) if path])
+    if not out_path:
         sys.stdout.write(text)
 
 
@@ -106,16 +109,6 @@ def _frac_arg(text: str) -> Fraction:
         return rat(text)
     except CrownError:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
-
-
-def _algos_arg(text: str) -> tuple:
-    algos = tuple(text.split(","))
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise argparse.ArgumentTypeError(
-                f"unknown algorithm {algo!r} (choose from {', '.join(ALGORITHMS)})"
-            )
-    return algos
 
 
 def _lay_out(algo: str, graph, boxes, args):
@@ -167,7 +160,7 @@ def _bench_document(doc_id, text, args):
     box_map = {b.id: b for b in boxes}
     return [
         (doc_id, algo, realized_profit(_lay_out(algo, graph, box_map, args), graph), total)
-        for algo in args.algos
+        for algo in ALGORITHMS
     ]
 
 
@@ -195,8 +188,6 @@ def cmd_bench(args) -> int:
         return _fail(
             EXIT_MALFORMED, "empty", "every document has no profits", witness=skipped
         )
-    # The CSV is encoded whole, then written first: a row UTF-8 cannot hold
-    # leaves no file behind, and a failure leaves stdout empty.
     if args.csv:
         text = io.StringIO(newline="")
         writer = csv.writer(text)
@@ -205,14 +196,14 @@ def cmd_bench(args) -> int:
             (doc_id, algo, args.k, frac_str(r), frac_str(t), _pct_1dp(r, t))
             for doc_id, algo, r, t in all_rows
         )
-        Path(args.csv).write_bytes(text.getvalue().encode("utf-8"))
+        _write_files([(args.csv, text.getvalue())])
     for doc_id in unread:
         print(f"warning: {doc_id}: unreadable or empty, skipped", file=sys.stderr)
     for doc_id in skipped:
         print(f"warning: {doc_id}: no profits, skipped", file=sys.stderr)
     n_docs = len({doc_id for doc_id, *_ in all_rows})
     print(f"mean realized profit, k={args.k}, {n_docs} documents")
-    for algo in args.algos:
+    for algo in ALGORITHMS:
         ratios = [realized / total for _, a, realized, total in all_rows if a == algo]
         mean = sum(ratios, Fraction(0)) / len(ratios)
         print(f"  {algo:<12} {_pct_1dp(mean, Fraction(1)):>6}%")
@@ -268,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the corpus benchmark")
     p_bench.add_argument("corpus", help="directory of .txt documents")
     p_bench.add_argument("--k", type=int, choices=(50, 100), default=50)
-    p_bench.add_argument(
-        "--algos",
-        type=_algos_arg,
-        default=ALGORITHMS,
-        help="comma-separated algorithm list",
-    )
     p_bench.add_argument("--csv", metavar="PATH")
     # The corpus experiment's fixed settings, behind the README's percentages.
     p_bench.set_defaults(func=cmd_bench, eps=Fraction(1, 2), corners=0, seed=0)

@@ -95,9 +95,9 @@ def knapsack_fptas(
     value's is dropped.  The last state is the answer, so ties break
     toward smaller total size, then the lexicographically smallest index
     tuple, and callers that pass items in id order get id-lexicographic
-    determinism for free.  Raises ParameterError for a negative size,
-    value or capacity, and TooLargeError when the scaled values sum to
-    more than MAX_KNAPSACK_TOP.
+    determinism for free.  Raises ParameterError for an item that is not
+    a (size, value) pair, for a negative size, value or capacity, and
+    TooLargeError when the scaled values sum to more than MAX_KNAPSACK_TOP.
     """
     capacity = _exact(capacity)
     eps = check_eps(eps)
@@ -105,7 +105,11 @@ def knapsack_fptas(
         raise ParameterError("capacity must be non-negative")
 
     usable = []
-    for idx, (s, v) in enumerate(items):
+    for idx, item in enumerate(items):
+        try:
+            s, v = item
+        except (TypeError, ValueError):
+            raise ParameterError(f"item {idx}: expected (size, value), got {item!r}") from None
         s, v = _exact(s), _exact(v)
         if s.numerator < 0 or v.numerator < 0:  # signs without Fraction comparisons
             raise ParameterError(f"item {idx}: sizes and values must be non-negative")

@@ -128,8 +128,12 @@ def assign_y(dag: EmbeddedDag, heights: Mapping[str, Fraction]) -> Dict[str, Tup
     """Forced (top, bottom) per box: sink top 0, child top = parent bottom.
 
     Raises HierInfeasibleError("assign_y", [box, top_a, top_b]) when two
-    parents force different tops on one box.
+    parents force different tops on one box, and ParameterError names
+    the first vertex with no height.
     """
+    missing = [v for v in dag.vertices if v not in heights]
+    if missing:
+        raise ParameterError(f"vertex {missing[0]!r} has no height")
     sink = dag.sink()
     top: Dict[str, Fraction] = {sink: Fraction(0)}
     queue = [sink]
@@ -160,8 +164,12 @@ def sweep_order(
     r_a <= l_b, then the consecutive pairs of each ended box's
     predecessors that the list did not hold: a predecessor shared with a
     box to the left must come first, and when it does not, the two pairs
-    contradict and solve_x reports the cycle.
+    contradict and solve_x reports the cycle.  ParameterError names the
+    first vertex with no (top, bottom) in ``y``.
     """
+    missing = [v for v in dag.vertices if v not in y]
+    if missing:
+        raise ParameterError(f"vertex {missing[0]!r} has no level")
     sink = dag.sink()
     lst = [sink]
     entered = {sink}

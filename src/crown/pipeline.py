@@ -130,19 +130,14 @@ def _cosine_steps(t: int, a: int, b: int) -> int:
     return isqrt((t << 20) ** 2 // (a * b))
 
 
-def similarity_profits(stats: WordStats, k: int) -> ProfitGraph:
-    """Profit graph over the top-k stems by frequency.
+def similarity_profits(stats: WordStats, stems: Sequence[str]) -> ProfitGraph:
+    """Profit graph over ``stems``, the ranked stems of ``top_stems``.
 
     Profits are exact cosine similarities of binary sentence-incidence
     vectors; zero-similarity pairs carry no edge.  Edges of equal profit
     share one Fraction: on the 2**-20 grid a large graph has few distinct
     profits.
     """
-    if not isinstance(k, int):
-        raise ParameterError(f"k must be an int, got {k!r}")
-    if k < 2:
-        raise InvalidInstanceError(f"need k >= 2, got {k}")
-    stems = top_stems(stats, k)
     incidence = {
         s: frozenset(
             i for i, sent in enumerate(stats.sentences) if s in sent
@@ -175,9 +170,13 @@ def box_dimensions(stats: WordStats, words: Sequence[str]) -> Dict[str, BoxSpec]
     h64 = BASE_H * sqrt(freq / max_freq), rounded to the nearest whole
     and clamped to [MIN_H, BASE_H]; w64 = h64 * ASPECT * label length,
     rounded half up and at least 1.  A box is w64/64 by h64/64.
+    ParameterError names the first word that is not a stem of ``stats``.
     """
     if not words:
         return {}
+    unknown = [s for s in words if s not in stats.freq]
+    if unknown:
+        raise ParameterError(f"{unknown[0]!r} is not a stem of the document")
     max_freq = max(stats.freq[s] for s in words)
     a, b = ASPECT.numerator, ASPECT.denominator
     out: Dict[str, BoxSpec] = {}
@@ -260,11 +259,14 @@ def load_corpus(directory) -> List[Tuple[str, str]]:
 def document_instance(
     text: str, k: int
 ) -> Tuple[List[BoxSpec], ProfitGraph, Dict[str, str]]:
-    """Boxes (in rank order), profit graph, and display labels for one
-    document."""
+    """Boxes (in rank order), profit graph, and display labels for the
+    document's top-k stems, ranked once.  ParameterError unless k is an
+    int, InvalidInstanceError when it is below 2."""
+    if isinstance(k, int) and k < 2:
+        raise InvalidInstanceError(f"need k >= 2, got {k}")
     stats = preprocess(text)
-    graph = similarity_profits(stats, k)
     stems = top_stems(stats, k)
+    graph = similarity_profits(stats, stems)
     dims = box_dimensions(stats, stems)
     labels = {s: stats.label[s] for s in stems}
     return [dims[s] for s in stems], graph, labels

@@ -17,7 +17,7 @@ from crown.errors import CrownError
 from crown.gap import GapInstance, GapItem, knapsack_fptas
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag, assign_y, solve_x, sweep_order
-from crown.pipeline import document_instance, preprocess, similarity_profits, top_stems
+from crown.pipeline import box_dimensions, document_instance, preprocess, top_stems
 from crown.stars import StarInstance, max_crown_stars, solve_star
 
 SUBMODULES = [
@@ -54,6 +54,7 @@ def _unit(bid):
 
 
 SINKLESS = EmbeddedDag(("a", "b"), (), {})  # two sinks, no edge
+CHAIN = EmbeddedDag(("a", "s"), (("a", "s"),), {"a": ("s",), "s": ("a",)})
 TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
 
 
@@ -94,8 +95,12 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
             StarInstance(_unit("c"), (_unit("l"),), {"l": 1}), Fraction(1, 4), 1.5
         ),
         lambda: top_stems(preprocess(TEXT), 1.5),
-        lambda: similarity_profits(preprocess(TEXT), 2.5),
         lambda: document_instance(TEXT, "5"),
+        lambda: assign_y(CHAIN, {}),
+        lambda: sweep_order(CHAIN, {}),
+        lambda: knapsack_fptas([(1,)], 1, Fraction(1, 4)),
+        lambda: knapsack_fptas([1], 1, Fraction(1, 4)),
+        lambda: box_dimensions(preprocess("alpha beta"), ["zz"]),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
@@ -108,7 +113,9 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         "dag-solve-x-unanchored", "dag-solve-x-unknown-endpoint",
         "dag-solve-x-unknown-anchor", "max-stars-str-corners",
         "solve-star-float-corners",
-        "top-stems-float-k", "similarity-float-k", "document-str-k",
+        "top-stems-float-k", "document-str-k", "dag-assign-y-no-height",
+        "dag-sweep-order-no-level", "knapsack-short-item", "knapsack-int-item",
+        "box-dimensions-unknown-word",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):
@@ -185,6 +192,22 @@ def _layout_write(node) -> bool:
     )
 
 
+def _file_write(node) -> bool:
+    """A ``.write_text``, ``.write_bytes`` or ``os.replace`` call, or an
+    ``open`` call whose constant mode writes."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "replace":
+        return getattr(getattr(node.func, "value", None), "id", None) == "os"
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+    return name == "open" and any(
+        isinstance(m, ast.Constant) and set(str(m.value)) & set("wxa+") for m in modes
+    )
+
+
 # (rule, predicate, the top-level definitions allowed to match it).
 SOURCE_RULES = [
     # The spiral of the random baseline is the one float path left; an
@@ -203,6 +226,8 @@ SOURCE_RULES = [
     # A box enters a layout only through Layout.place, which refuses a
     # duplicate id.
     ("layout-write", _layout_write, {"geometry.Layout"}),
+    # Output files are written all or none, by one writer.
+    ("file-write", _file_write, {"cli._write_files"}),
 ]
 
 

@@ -250,28 +250,80 @@ def test_bench_csv_schema(tmp_path, capsys):
         float(r["pct"])  # one-decimal percentage string
 
 
-def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
-    mini = tmp_path / "corpus"
-    mini.mkdir()
-    shutil.copy(REPO / "corpus" / "tides.txt", mini / "tides.txt")
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", str(mini), "--algos", "random,frobnicate"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
-
-
 def test_bench_warns_about_skipped_documents(tmp_path, capsys):
     mini = tmp_path / "corpus"
     mini.mkdir()
     shutil.copy(REPO / "corpus" / "tides.txt", mini / "tides.txt")
     (mini / "blank.txt").write_text("  \n", encoding="utf-8")
-    assert main(["bench", str(mini), "--algos", "random"]) == 0
+    assert main(["bench", str(mini)]) == 0
     captured = capsys.readouterr()
     assert "mean realized profit, k=50, 1 documents" in captured.out
     assert captured.err == "warning: blank: unreadable or empty, skipped\n"
+
+
+def one_failure(capsys, argv):
+    """main's exit code and its one JSON failure line, with stdout empty."""
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    return code, json.loads(line)
+
+
+@pytest.mark.parametrize("content", [None, "caf\xe9".encode("latin-1")], ids=["missing", "latin-1"])
+@pytest.mark.parametrize("command", ["layout", "hier", "tri"])
+def test_unreadable_input_is_an_io_error(tmp_path, capsys, command, content):
+    doc = tmp_path / "doc.json"
+    if content is not None:
+        doc.write_bytes(content)
+    code, report = one_failure(capsys, [command, doc])
+    assert (code, report["error"]) == (2, "io")
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        ({"profits": [{"a": "a", "b": "a", "p": "1/1"}]}, "instance.profits[0]: self-loop"),
+        ({"profits": [{"a": "a", "b": "b", "p": "1/1"}] * 2}, "instance.profits[1]: duplicate edge"),
+        ({"profits": [{"a": "a", "b": "b", "p": "-1/2"}]}, "instance.profits[0]: negative profit"),
+        ({"labels": {"z": "zed"}}, "instance.labels: unknown box id 'z'"),
+        ({"labels": {"a": 1}}, "instance.labels['a']: not a string"),
+        (None, "top-level JSON value must be an object"),
+    ],
+    ids=["self-loop", "duplicate-edge", "negative-profit", "unknown-label", "label-not-str", "not-object"],
+)
+def test_document_fault_is_a_format_error_that_names_its_place(tmp_path, capsys, change, detail):
+    inst = tmp_path / "inst.json"
+    triangle_instance(inst)
+    doc = json.loads(inst.read_text(encoding="utf-8"))
+    inst.write_text(json.dumps([doc] if change is None else {**doc, **change}), encoding="utf-8")
+    code, report = one_failure(capsys, ["layout", inst])
+    assert (code, report["error"]) == (2, "format")
+    assert report["detail"].startswith(detail), report
+
+
+def test_failed_run_leaves_no_output_file(tmp_path, capsys):
+    inst, svg = tmp_path / "inst.json", tmp_path / "out.svg"
+    triangle_instance(inst)
+    argv = ["layout", inst, "--svg", svg, "-o", tmp_path / "missing" / "x.json"]
+    assert one_failure(capsys, argv)[1]["error"] == "io"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+    svg.write_bytes(b"old")
+    assert one_failure(capsys, argv)[1]["error"] == "io"
+    assert svg.read_bytes() == b"old"
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    triangle_instance(inst)
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = ["layout", inst, "--svg", tmp_path / "out.svg", "-o", tmp_path / "out.json"]
+    assert one_failure(capsys, argv) == (2, {"error": "io", "detail": f"cannot replace {tmp_path / 'out.svg'}"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
 def chain_dag(path, side=2):
@@ -546,6 +598,7 @@ def test_bench_csv_that_fails_to_encode_keeps_the_old_file(tmp_path):
         ["frobnicate"],
         ["bench", "{unread}"],
         ["bench", "{corpus}", "--eps", "1/4"],  # bench runs at fixed settings
+        ["bench", "{corpus}", "--algos", "random"],  # and every algorithm
     ],
 )
 def test_cli_failure_is_one_json_line(tmp_path, capsys, argv):

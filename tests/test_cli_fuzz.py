@@ -191,9 +191,6 @@ def test_cli_contract_holds_on_mutated_input(command, data):
 
 BENCH_FLAGS = [
     ("--k", st.sampled_from(["50", "100", "7", "x"])),
-    ("--algos", st.sampled_from(
-        ["", "random", "cycle-cover,random", "star-forest", "random,random", "nope", "random,"]
-    )),
     ("--csv", st.sampled_from(["out.csv", "no/out.csv", "."])),
 ]
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crown.errors import ParameterError
+from crown import pipeline
+from crown.errors import InvalidInstanceError, ParameterError
 from crown.geometry import BoxSpec, ProfitGraph, detect_contacts, realized_profit
 from crown.pipeline import (
     WordStats,
@@ -56,7 +57,8 @@ def test_similarity_profits_in_unit_interval():
         "Rivers carve the valley floor. The valley holds the river mist. "
         "Mist settles over the floor at dawn. Dawn light follows the river."
     )
-    g = similarity_profits(preprocess(text), k=10)
+    stats = preprocess(text)
+    g = similarity_profits(stats, top_stems(stats, 10))
     assert len(g.vertices) <= 10
     for _, _, p in g.edges():
         assert 0 < p <= 1
@@ -65,7 +67,8 @@ def test_similarity_profits_in_unit_interval():
 def test_cosine_of_half_overlap():
     # stems a,b share exactly one of two sentences each: cosine 1/2
     text = "quartz feldspar. feldspar mica. quartz mica."
-    g = similarity_profits(preprocess(text), k=3)
+    stats = preprocess(text)
+    g = similarity_profits(stats, top_stems(stats, 3))
     assert g.profit("quartz", "feldspar") == Fraction(1, 2)
 
 
@@ -73,7 +76,7 @@ def test_similarity_profits_are_cosines_and_share_equal_values():
     text = (Path(__file__).resolve().parent.parent / "corpus" / "tides.txt").read_text()
     stats = preprocess(text)
     stems = top_stems(stats, 100)
-    g = similarity_profits(stats, k=100)
+    g = similarity_profits(stats, stems)
     sentences = {
         s: {i for i, sent in enumerate(stats.sentences) if s in sent} for s in stems
     }
@@ -216,6 +219,34 @@ def test_document_instance_shapes():
     assert graph.vertices <= ids
     assert len(ids) <= 5
     assert set(labels) == ids
+
+
+@pytest.mark.parametrize(
+    "k, error",
+    [(-1, InvalidInstanceError), (0, InvalidInstanceError), (1, InvalidInstanceError),
+     (True, InvalidInstanceError), (1.5, ParameterError), ("5", ParameterError),
+     (None, ParameterError)],
+)
+def test_document_instance_needs_an_int_k_of_at_least_two(k, error):
+    with pytest.raises(error):
+        document_instance("alpha beta. beta gamma.", k)
+
+
+def test_document_instance_ranks_the_stems_once(monkeypatch):
+    calls = []
+
+    def spy(stats, k):
+        calls.append(k)
+        return top_stems(stats, k)
+
+    monkeypatch.setattr(pipeline, "top_stems", spy)
+    document_instance("alpha beta. beta gamma. gamma alpha.", 3)
+    assert calls == [3]
+
+
+def test_random_baseline_of_no_boxes_is_empty():
+    lay = random_baseline(ProfitGraph(), {}, seed=0)
+    assert (lay.boxes, lay.pos) == ({}, {})
 
 
 def test_load_corpus_bundled_documents():

@@ -153,6 +153,11 @@ def test_dumps_doc_refuses_what_the_emitters_never_write(value):
             dumps_doc(doc)
 
 
+def test_dumps_doc_refuses_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        dumps_doc({"a": {1: "b"}})
+
+
 def sample_layout():
     lay = Layout()
     lay.place(BoxSpec("a", rat(2), rat("3/2")), rat(0), rat(0))
