@@ -75,7 +75,11 @@ def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
 
 
 def _read_doc(path: str):
-    return loads_doc(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path}: {exc}") from exc
+    return loads_doc(text)
 
 
 def _write_files(outputs) -> None:
@@ -91,6 +95,10 @@ def _write_files(outputs) -> None:
                 handle.write(chunk)
         for temp, (path, _) in zip(temps, data):
             os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename == temp:  # name the target, not its temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
     finally:
         for temp in temps:
             Path(temp).unlink(missing_ok=True)

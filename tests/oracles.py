@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from crown.cycles import (
-    CycleCover,
     _cover_components,
     decompose_cycle_covers,
     layout_cycle,
@@ -552,138 +551,6 @@ def random_baseline_fraction(
     return lay
 
 
-def _euler_orient_per_edge(adj, n_edges: int) -> List[List[Tuple[int, int]]]:
-    """Orient every edge of ``adj`` along an Euler circuit of its component.
-
-    All degrees are even.  Circuits start at the smallest node of each
-    component and always leave over the smallest (neighbor, edge id)
-    still unused, so the orientation is deterministic.  Returns the
-    sorted (head, edge id) out-list of every node: a node's out-edges are
-    taken in its adjacency order, so they come out sorted.
-    """
-    used = bytearray(n_edges)
-    ptr = [0] * len(adj)
-    out_edges: List[List[Tuple[int, int]]] = [[] for _ in adj]
-    for start in range(len(adj)):
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            # Extend the trail from v until it gets stuck, then back up.
-            while True:
-                lst, i = adj[v], ptr[v]
-                while i < len(lst) and used[lst[i][1]]:
-                    i += 1
-                if i == len(lst):
-                    ptr[v] = i
-                    break
-                ptr[v] = i + 1
-                u, eid = lst[i]
-                used[eid] = 1
-                out_edges[v].append(lst[i])
-                stack.append(u)
-                v = u
-            stack.pop()
-    return out_edges
-
-
-def _perfect_matching_per_edge(out_edges) -> List[int]:
-    """Perfect matching in a regular bipartite graph by augmenting paths.
-
-    ``out_edges[tail]`` lists (head, edge id) sorted; tails and heads are
-    both the nodes 0..len(out_edges)-1.  Regularity guarantees the
-    matching saturates every tail.  Each path is searched depth first,
-    heads in out-list order, on an explicit stack so that long paths
-    cannot exhaust the interpreter's recursion limit.
-    """
-    size = len(out_edges)
-    tail_of = [-1] * size  # head -> matched tail
-    head_of = [-1] * size  # tail -> matched head
-    eid_of = [0] * size  # head -> matched edge id
-    seen = [-1] * size  # head -> last root whose search reached it
-    via = [0] * size  # head -> the tail it was reached from, ...
-    via_eid = [0] * size  # ... over this edge
-
-    for root in range(size):
-        stack = [iter(out_edges[root])]  # out-list iterators along the path
-        tail = root
-        while True:
-            for head, eid in stack[-1]:
-                if seen[head] != root:
-                    break
-            else:
-                # A dead end: back up to the tail whose head led here.
-                stack.pop()
-                if not stack:
-                    raise AssertionError("regular bipartite graph must have a perfect matching")
-                tail = via[head_of[tail]]
-                continue
-            seen[head] = root
-            via[head] = tail
-            via_eid[head] = eid
-            tail = tail_of[head]
-            if tail < 0:
-                break
-            stack.append(iter(out_edges[tail]))
-        # Augment: every tail on the path takes the head it reached.
-        while head >= 0:
-            tail = via[head]
-            prev = head_of[tail]
-            tail_of[head] = tail
-            head_of[tail] = head
-            eid_of[head] = via_eid[head]
-            head = prev
-    return sorted(eid_of)
-
-
-def decompose_cycle_covers_per_edge(graph: ProfitGraph) -> CycleCover:
-    """``cycles.decompose_cycle_covers`` with every padding edge its own
-    edge id in parallel arrays, so a round walks all 2k - deg(v) copies."""
-    real_edges = [(a, b) for a, b, _ in graph.edges()]
-    if not real_edges:
-        return CycleCover(())
-    deg = graph.degrees()
-    k = -(-max(deg.values()) // 2)
-
-    order = sorted(graph.vertices)
-    n = len(order)
-    rank = {v: i for i, v in enumerate(order)}
-    tails: List[int] = []
-    heads: List[int] = []
-    tag: List[Optional[Tuple[str, str]]] = []
-
-    def add(u, v, real):
-        tails.append(u)
-        heads.append(v)
-        tag.append(real)
-
-    for a, b in real_edges:
-        add(rank[a], rank[b], (a, b))
-        add(n + rank[a], n + rank[b], None)
-    for i, v in enumerate(order):
-        for _ in range(2 * k - deg[v]):
-            add(i, n + i, None)
-
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for eid in range(len(tails)):
-        adj[tails[eid]].append((heads[eid], eid))
-        adj[heads[eid]].append((tails[eid], eid))
-    for lst in adj:
-        lst.sort()
-
-    covers = []
-    for _ in range(k):
-        factor = _perfect_matching_per_edge(_euler_orient_per_edge(adj, len(tails)))
-        gone = bytearray(len(tails))
-        for eid in factor:
-            gone[eid] = 1
-        adj = [[e for e in lst if not gone[e[1]]] for lst in adj]
-        cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
-        if cover:
-            covers.append(tuple(cover))
-    assert not any(adj)
-    return CycleCover(tuple(covers))
-
-
 def max_crown_cycles_every_cover(graph: ProfitGraph, boxes: Mapping[str, BoxSpec]) -> Layout:
     """``cycles.max_crown_cycles`` on all ceil(max_degree/2) covers, each
     summed in Fractions; the first cover of the largest profit wins."""
@@ -701,98 +568,9 @@ def max_crown_cycles_every_cover(graph: ProfitGraph, boxes: Mapping[str, BoxSpec
     return pack_components(components, boxes)
 
 
-def _euler_orient_tuple(nodes, adj):
-    used = set()
-    ptr = {v: 0 for v in nodes}
-    orient = {}
-    for start in nodes:
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            lst = adj[v]
-            while ptr[v] < len(lst) and lst[ptr[v]][1] in used:
-                ptr[v] += 1
-            if ptr[v] == len(lst):
-                stack.pop()
-                continue
-            u, eid = lst[ptr[v]]
-            used.add(eid)
-            orient[eid] = (v, u)
-            stack.append(u)
-    return orient
-
-
-def _perfect_matching_tuple(lefts, out_edges) -> List[int]:
-    match_of_head = {}
-
-    def augment(tail, seen) -> bool:
-        for head, eid in out_edges[tail]:
-            if head in seen:
-                continue
-            seen.add(head)
-            if head not in match_of_head or augment(match_of_head[head][0], seen):
-                match_of_head[head] = (tail, eid)
-                return True
-        return False
-
-    for tail in lefts:
-        if not augment(tail, set()):
-            raise AssertionError("regular bipartite graph must have a perfect matching")
-    return sorted(eid for _, eid in match_of_head.values())
-
-
 def max_degree(graph: ProfitGraph) -> int:
     """The largest vertex degree of ``graph``, 0 without vertices."""
     return max(graph.degrees().values(), default=0)
-
-
-def decompose_cycle_covers_tuple(graph: ProfitGraph) -> CycleCover:
-    """``cycles.decompose_cycle_covers`` on (copy, vertex) tuple nodes."""
-    real_edges = [(a, b) for a, b, _ in graph.edges()]
-    if not real_edges:
-        return CycleCover(())
-    k = -(-max_degree(graph) // 2)
-
-    nodes = sorted((copy, v) for copy in (0, 1) for v in graph.vertices)
-    tails, heads, tag = [], [], []
-
-    def add(u, v, real):
-        tails.append(u)
-        heads.append(v)
-        tag.append(real)
-
-    for a, b in real_edges:
-        add((0, a), (0, b), (a, b))
-        add((1, a), (1, b), None)
-    deg = graph.degrees()
-    for v in sorted(graph.vertices):
-        for _ in range(2 * k - deg[v]):
-            add((0, v), (1, v), None)
-
-    adj = {x: [] for x in nodes}
-    for eid in range(len(tails)):
-        adj[tails[eid]].append((heads[eid], eid))
-        adj[heads[eid]].append((tails[eid], eid))
-    for x in nodes:
-        adj[x].sort()
-
-    covers = []
-    for _ in range(k):
-        orient = _euler_orient_tuple(nodes, adj)
-        out_edges = {x: [] for x in nodes}
-        for eid, (u, v) in orient.items():
-            out_edges[u].append((v, eid))
-        for x in nodes:
-            out_edges[x].sort()
-        factor = _perfect_matching_tuple(nodes, out_edges)
-        gone = set(factor)
-        for x in nodes:
-            adj[x] = [e for e in adj[x] if e[1] not in gone]
-        cover = sorted(tag[eid] for eid in factor if tag[eid] is not None)
-        if cover:
-            covers.append(tuple(cover))
-    assert not any(adj.values())
-    return CycleCover(tuple(covers))
 
 
 def solve_x_fraction(
@@ -1552,6 +1330,22 @@ def rand_degree_graph(rng: random.Random, n: int, dmax: int) -> ProfitGraph:
     return g
 
 
+def rand_sparse_graph(rng: random.Random, n: int, m: int, dmax: int) -> ProfitGraph:
+    """Random simple graph on n vertices with m edges and max degree <= dmax,
+    drawn pair by pair, so m must stay well below n * dmax / 2."""
+    ids = [f"v{i:05d}" for i in range(n)]
+    g = ProfitGraph(ids)
+    deg = dict.fromkeys(ids, 0)
+    while m:
+        a, b = rng.sample(ids, 2)
+        if deg[a] < dmax and deg[b] < dmax and not g.has_edge(a, b):
+            g.add_edge(a, b, rng.randrange(1, 4))
+            deg[a] += 1
+            deg[b] += 1
+            m -= 1
+    return g
+
+
 def rand_clustered_graph(rng: random.Random, n_max: int) -> ProfitGraph:
     """Random graph of n_max/3..n_max vertices: 1-3 groups plus a few
     isolated vertices, edges only inside a group at one of four densities
@@ -1570,15 +1364,17 @@ def rand_clustered_graph(rng: random.Random, n_max: int) -> ProfitGraph:
 
 
 def rand_hub_graph(rng: random.Random, hub_degrees: Sequence[int]) -> ProfitGraph:
-    """Hubs of exactly the given degrees over a sparse rest, the regime
-    where padding is most of the cycle-cover multigraph.
+    """Hubs of exactly the given degrees over a sparse rest: the hubs
+    alone need all ceil(max_degree/2) colours of the cycle-cover
+    colouring, while each other vertex has at most two arcs a side.
 
     Each hub joins a random sample of the rest (and, now and then, the
     other hub); the rest is two random partial matchings.  A path or
     cycle of 3-6 vertices is a component of its own, and 1-3 vertices are
-    isolated.  Other degrees stay at most 4, so an even hub degree is 2k
-    and leaves that hub an empty padding group.  Names are shuffled, so
-    hubs land anywhere in the sorted vertex order.
+    isolated.  Other degrees stay at most 4, so the largest hub sets k,
+    and a hub of even degree 2k has exactly k arcs out and k in once
+    oriented.  Names are shuffled, so hubs land anywhere in the sorted
+    vertex order.
     """
     n_rest = max(hub_degrees) + rng.randrange(0, 20)
     n_far = rng.randrange(3, 7)

@@ -208,6 +208,20 @@ def _file_write(node) -> bool:
     )
 
 
+def _self_call(node) -> bool:
+    """A function that calls itself by name, or a method by ``self.<name>``."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return any(
+        isinstance(call, ast.Call) and (
+            getattr(call.func, "id", None) == node.name
+            or (getattr(call.func, "attr", None) == node.name
+                and getattr(call.func.value, "id", None) in ("self", "cls"))
+        )
+        for call in ast.walk(node)
+    )
+
+
 # (rule, predicate, the top-level definitions allowed to match it).
 SOURCE_RULES = [
     # The spiral of the random baseline is the one float path left; an
@@ -228,6 +242,10 @@ SOURCE_RULES = [
     ("layout-write", _layout_write, {"geometry.Layout"}),
     # Output files are written all or none, by one writer.
     ("file-write", _file_write, {"cli._write_files"}),
+    # Trails, alternating paths and searches run on explicit stacks, so a
+    # long one never meets the interpreter's recursion limit.  These two
+    # recurse only as deep as the witness or document they write.
+    ("recursion", _self_call, {"cli._jsonable", "serialize._write"}),
 ]
 
 

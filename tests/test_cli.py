@@ -278,6 +278,7 @@ def test_unreadable_input_is_an_io_error(tmp_path, capsys, command, content):
         doc.write_bytes(content)
     code, report = one_failure(capsys, [command, doc])
     assert (code, report["error"]) == (2, "io")
+    assert str(doc) in report["detail"]
 
 
 @pytest.mark.parametrize(
@@ -311,6 +312,18 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     svg.write_bytes(b"old")
     assert one_failure(capsys, argv)[1]["error"] == "io"
     assert svg.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize(
+    "flag, target", [("-o", "missing/x.json"), ("--svg", "missing/x.svg"), ("-o", "dir")]
+)
+def test_failed_write_names_the_target_not_its_temporary_file(tmp_path, capsys, flag, target):
+    inst = tmp_path / "inst.json"
+    triangle_instance(inst)
+    (tmp_path / "dir").mkdir()
+    code, report = one_failure(capsys, ["layout", inst, flag, tmp_path / target])
+    assert (code, report["error"]) == (2, "io")
+    assert report["detail"].endswith(f": {str(tmp_path / target)!r}"), report
 
 
 def test_failed_replace_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crown import cycles
 from crown.cycles import (
+    _balanced_orientation,
+    _colour_arcs,
     decompose_cycle_covers,
     layout_cycle,
     layout_path,
@@ -21,13 +26,12 @@ from crown.pipeline import document_instance, load_corpus
 
 from fixtures_extremal import contact_pairs
 from oracles import (
-    decompose_cycle_covers_per_edge,
-    decompose_cycle_covers_tuple,
     max_crown_cycles_every_cover,
     max_degree,
     rand_clustered_graph,
     rand_degree_graph,
     rand_hub_graph,
+    rand_sparse_graph,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -120,8 +124,8 @@ def test_decompose_k5():
 
 
 def test_decompose_large_graph():
-    # A 1,200-cycle with one random chord per vertex: its augmenting paths
-    # run deeper than the interpreter's recursion limit.
+    # A 1,200-cycle with one random chord per vertex: a trail of its
+    # orientation runs longer than the interpreter's recursion limit.
     rng = random.Random(1)
     ids = [f"v{i:04d}" for i in range(1200)]
     g = ring(ids)
@@ -191,18 +195,6 @@ def test_decompose_bound_matches_max_degree(seed):
     _check_partition(cover, g)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_decompose_matches_tuple_reference(seed):
-    g = rand_clustered_graph(random.Random(seed), 16)
-    assert decompose_cycle_covers(g) == decompose_cycle_covers_tuple(g)
-
-
-def padding_counts(g):
-    k = math.ceil(max_degree(g) / 2)
-    return [2 * k - d for d in g.degrees().values()]
-
-
 def components(g):
     parent = {v: v for v in g.vertices}
 
@@ -216,55 +208,113 @@ def components(g):
     return len({find(v) for v in g.vertices})
 
 
-def test_hub_graphs_reach_the_padding_regime():
+def test_hub_graphs_reach_odd_degrees_and_many_components():
     for seed in range(20):
         for hubs in ([10 + seed], [11 + seed, 15], [40, 40 - seed % 2]):
             g = rand_hub_graph(random.Random(seed), hubs)
-            pads = padding_counts(g)
+            degrees = sorted(g.degrees().values())
             assert max_degree(g) == max(hubs)
-            assert (0 in pads) == (max(hubs) % 2 == 0)
-            assert any(p % 2 for p in pads)
-            assert any(p and p % 2 == 0 for p in pads)
-            assert 0 in g.degrees().values()  # isolated vertices
-            assert components(g) >= 3
-            assert sum(pads) > 2 * len(g.edges())  # padding is most copies
+            assert degrees[-len(hubs) - 1] <= 4  # the hubs alone need k colours
+            assert any(d % 2 for d in degrees)  # edges to the orientation's extra vertex
+            assert any(d and d % 2 == 0 for d in degrees)
+            assert 0 in degrees  # isolated vertices
+            assert components(g) >= 3  # trails start in several components
+
+
+HUB_DEGREES = st.lists(st.integers(10, 40), min_size=1, max_size=2)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(10, 40), min_size=1, max_size=2), st.integers(0, 10**6))
+@given(HUB_DEGREES, st.integers(0, 10**6))
 @example([12], 0)
 @example([40, 39], 1)
 @example([13, 10], 2)
 def test_decompose_matches_per_edge_on_hub_graphs(hub_degrees, seed):
     g = rand_hub_graph(random.Random(seed), hub_degrees)
     cover = decompose_cycle_covers(g)
-    assert cover == decompose_cycle_covers_per_edge(g)
     assert len(cover.covers) == math.ceil(max_degree(g) / 2)
+    assert all(cover.covers)
+    _check_partition(cover, g)
 
 
-def test_decompose_matches_per_edge_on_the_corpus():
-    docs = load_corpus(CORPUS)
-    assert len(docs) == 13
+def test_decompose_keeps_its_contract_on_the_corpus():
     for k in (50, 100):
-        for doc_id, text in docs:
+        for doc_id, text in load_corpus(CORPUS):
             _, g, _ = document_instance(text, k)
-            assert decompose_cycle_covers(g) == decompose_cycle_covers_per_edge(g), (doc_id, k)
+            cover = decompose_cycle_covers(g)
+            assert len(cover.covers) == math.ceil(max_degree(g) / 2), (doc_id, k)
+            assert all(cover.covers), (doc_id, k)
+            _check_partition(cover, g)
+
+
+def drawn_graph(data):
+    """A hub graph or a bounded-degree graph, drawn from ``data``."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        return rand_hub_graph(rng, data.draw(HUB_DEGREES))
+    return rand_degree_graph(rng, rng.randrange(4, 26), rng.choice((3, 4, 5, 6)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=30))
-def test_decompose_with_stop_returns_a_prefix(seed, rounds):
-    g = rand_clustered_graph(random.Random(seed), 16)
-    full = decompose_cycle_covers(g).covers
-    seen = []
+@given(st.data())
+def test_orientation_splits_each_degree_in_half(data):
+    g = drawn_graph(data)
+    arcs = _balanced_orientation(g)
+    assert sorted(ProfitGraph.key(*arc) for arc in arcs) == [(a, b) for a, b, _ in g.edges()]
+    out, into = Counter(t for t, _ in arcs), Counter(h for _, h in arcs)
+    for v, d in g.degrees().items():
+        assert out[v] <= math.ceil(d / 2) and into[v] <= math.ceil(d / 2), v
 
-    def stop(cover):
-        seen.append(cover)
-        return len(seen) == rounds
 
-    got = decompose_cycle_covers(g, stop).covers
-    assert got == full[:rounds]
-    assert seen == list(got)  # called once per cover, with that cover
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_colouring_gives_no_vertex_two_arcs_of_a_colour_on_one_side(data, balanced):
+    g = drawn_graph(data)
+    if balanced:
+        arcs = _balanced_orientation(g)
+    else:  # any orientation: the colouring needs no balance
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b, _ in g.edges()]
+    k = max([*Counter(t for t, _ in arcs).values(), *Counter(h for _, h in arcs).values()], default=0)
+    if balanced:
+        assert k == math.ceil(max_degree(g) / 2)
+    colours = _colour_arcs(arcs)
+    assert len(colours) == len(arcs)
+    assert all(0 <= c < k for c in colours)
+    for side in (0, 1):
+        ends = [(arc[side], c) for arc, c in zip(arcs, colours)]
+        assert len(set(ends)) == len(ends)
+
+
+def cycles_line_events(graph):
+    """Line events in crown/cycles.py while decompose_cycle_covers(graph) runs."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename == cycles.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        decompose_cycle_covers(graph)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_decompose_work_grows_linearly():
+    # 4x the vertices and edges at max degree 16 may cost at most 6x the
+    # work.  Hubs are left out: the free-colour pick is O(deg).
+    small, large = (
+        cycles_line_events(rand_sparse_graph(random.Random(n), n, 3 * n, 16))
+        for n in (250, 1000)
+    )
+    assert large <= 6 * small, (small, large)
 
 
 def tied_graph(seed, same):
