@@ -85,16 +85,17 @@ def _read_doc(path: str):
 def _write_files(outputs) -> None:
     """Write each ``(path, text)`` as UTF-8 to a temporary file beside its path,
     then move them all into place; a failure removes the temporary files."""
-    data = [(path, text.encode("utf-8")) for path, text in outputs]
     temps = []
     try:
-        for i, (path, chunk) in enumerate(data):
+        for i, (path, text) in enumerate(outputs):
             temp = f"{path}.{os.getpid()}-{i}.tmp"
             with open(temp, "xb") as handle:
                 temps.append(temp)
-                handle.write(chunk)
-        for temp, (path, _) in zip(temps, data):
+                handle.write(text.encode("utf-8"))
+        for temp, (path, _) in zip(temps, outputs):
             os.replace(temp, path)
+    except UnicodeEncodeError as exc:
+        raise UnicodeError(f"{path}: {exc}") from exc
     except OSError as exc:
         if exc.filename == temp:  # name the target, not its temporary file
             raise OSError(exc.errno, exc.strerror, path) from exc

@@ -205,8 +205,10 @@ def random_baseline(
     centers are the float expression round(r * cos * 64) / 64 that has
     always defined this baseline's output, and an exact spiral would
     place the boxes elsewhere.  Raises ParameterError when a graph vertex
-    has no box.
+    has no box or the seed is not an int.
     """
+    if not isinstance(seed, int):
+        raise ParameterError(f"seed must be an int, got {seed!r}")
     require_boxes(graph.vertices, boxes)
     rng = Random(seed)
     order = sorted(boxes.values(), key=lambda b: (-(b.w * b.h), b.id))

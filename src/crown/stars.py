@@ -8,7 +8,8 @@ center height).  Trees split into 2 star forests, planar graphs into at
 most 6, and the best per-forest layout is kept.
 
 ``partition_planar`` splits a planar graph into 3 forests by Edmonds'
-matroid partition, with no embedding.  ``maximal_planar_subgraph``
+matroid partition, with no embedding; each forest is a parent link per
+vertex, and walks up it find tree paths.  ``maximal_planar_subgraph``
 tests planarity with its own boolean left-right test, ``_is_planar``,
 one block at a time: each block on the path an edge would close gets
 one virtual edge between the cut vertices of the path, pairs found
@@ -258,43 +259,40 @@ def partition_tree(edges: Sequence[Tuple[str, str]]) -> Tuple[StarForest, StarFo
     return StarForest(tuple(halves[0])), StarForest(tuple(halves[1]))
 
 
-def _tree_path(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
-    """Edge ids on the path from b to a in a forest given as vertex ->
-    {neighbour: edge id}; a and b must share a tree.
+def _tree_path(up: List[Optional[Tuple[int, int]]], a: int, b: int) -> Optional[List[int]]:
+    """Edge ids on the path from b to a in a forest given as parent links,
+    vertex -> (parent, edge id) or None at a root; None when a and b lie
+    in different trees.
 
-    Searches breadth first from both ends, a level at a time from the
-    smaller frontier, until a vertex is reached from both; the tree path
-    is unique, so the meeting vertex splits it.
+    Records a and its ancestors, then walks b up to the first of them,
+    where the unique tree path turns, and a up to the same vertex.
     """
-    via = ({a: None}, {b: None})  # per end: vertex -> (vertex toward that end, edge)
-    fronts = [[a], [b]]
-    meet = a if a == b else None
-    while meet is None:
-        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
-        seen, other = via[side], via[1 - side]
-        level = []
-        for v in fronts[side]:
-            for w, e in adj[v].items():
-                if w not in seen:
-                    seen[w] = (v, e)
-                    if w in other:
-                        meet = w
-                        break
-                    level.append(w)
-            if meet is not None:
-                break
-        fronts[side] = level
+    rise = {a}  # a and its ancestors
+    link = up[a]
+    while link is not None:
+        rise.add(link[0])
+        link = up[link[0]]
     path = []
-    v = meet
-    while via[1][v] is not None:  # meet back to b, reversed below
-        v, e = via[1][v]
+    while b not in rise:
+        if up[b] is None:
+            return None
+        b, e = up[b]
         path.append(e)
-    path.reverse()
-    v = meet
-    while via[0][v] is not None:
-        v, e = via[0][v]
-        path.append(e)
-    return path
+    down = []
+    while a != b:
+        a, e = up[a]
+        down.append(e)
+    return path + down[::-1]
+
+
+def _link(up: List[Optional[Tuple[int, int]]], a: int, b: int, e: int) -> None:
+    """Hang a's tree from b by edge e: the links from a up to its root
+    turn round, so that a becomes the root, then a links to b."""
+    while True:
+        old, up[a] = up[a], (b, e)
+        if old is None:
+            return
+        b, (a, e) = a, old
 
 
 def partition_planar(graph: ProfitGraph) -> List[StarForest]:
@@ -306,11 +304,12 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     pair), each by a breadth-first search from it: an edge fits a forest
     other than its own when its ends lie in different trees there, and
     else may push out any edge on the tree path between them.  Moving
-    the edges of the shortest such chain keeps every class a forest; a
-    swap keeps a forest's trees and the last move joins two, so a
-    union-find per forest tells when an edge fits.  A forest lands whole
-    in the first class.  Raises NotPlanarError when ``_is_planar``
-    rejects the graph.
+    the edges of the shortest such chain keeps every class a forest.
+    Each forest is a parent link per vertex, so one upward walk,
+    ``_tree_path``, finds the tree path or tells that the edge fits; a
+    move cuts the link of the edge's child end and ``_link``s the edge
+    into its new forest.  A forest lands whole in the first class.
+    Raises NotPlanarError when ``_is_planar`` rejects the graph.
     """
     names = sorted(graph.vertices)
     num = {v: i for i, v in enumerate(names)}
@@ -319,16 +318,7 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
     if not _is_planar(len(names), ends):
         raise NotPlanarError("input graph is not planar")
     home = [-1] * len(ends)  # edge -> its forest
-    adj = [[{} for _ in names] for _ in range(3)]  # forest -> vertex -> {neighbour: edge}
-    roots = [list(range(len(names))) for _ in range(3)]  # forest -> union-find parent
-
-    def find(f: int, v: int) -> int:
-        up = roots[f]
-        while up[v] != v:
-            up[v] = up[up[v]]
-            v = up[v]
-        return v
-
+    up = [[None] * len(names) for _ in range(3)]  # forest -> vertex -> (parent, edge) or None
     for new in range(len(ends)):
         came: Dict[int, Optional[int]] = {new: None}  # edge -> edge it makes room for
         queue = deque([new])
@@ -336,22 +326,25 @@ def partition_planar(graph: ProfitGraph) -> List[StarForest]:
         while sink is None:  # arboricity 3 leaves a chain for every edge
             e = queue.popleft()
             a, b = ends[e]
-            others = [f for f in range(3) if f != home[e]]
-            sink = next((f for f in others if find(f, a) != find(f, b)), None)
-            if sink is None:
-                for f in others:
-                    for h in _tree_path(adj[f], a, b):
-                        if h not in came:
-                            came[h] = e
-                            queue.append(h)
-        roots[sink][find(sink, a)] = find(sink, b)
+            for f in range(3):
+                if f == home[e]:
+                    continue
+                path = _tree_path(up[f], a, b)
+                if path is None:
+                    sink = f
+                    break
+                for h in path:  # queued in vain if a later forest is the sink
+                    if h not in came:
+                        came[h] = e
+                        queue.append(h)
         f = sink
         while e is not None:
             a, b = ends[e]
             old = home[e]
             if old >= 0:
-                del adj[old][a][b], adj[old][b][a]
-            adj[f][a][b] = adj[f][b][a] = e
+                cut = up[old]
+                cut[a if cut[a] == (b, e) else b] = None
+            _link(up[f], a, b, e)
             home[e] = f
             e, f = came[e], old
 

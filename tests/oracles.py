@@ -28,6 +28,7 @@ from crown.errors import (
     DuplicateIdError,
     HierInfeasibleError,
     InvalidInstanceError,
+    NotPlanarError,
     OverlapError,
     ParameterError,
     TooLargeError,
@@ -49,12 +50,15 @@ from crown.hier import EmbeddedDag
 from crown.stars import (
     _CORNER_OFFSETS,
     MAX_CORNER_POOL,
+    StarForest,
     StarInstance,
     _block_path,
     _check_star_params,
     _corner_pool,
     _is_planar,
     _planar_on,
+    _ranked,
+    partition_tree,
 )
 from crown.pipeline import ASPECT, WordStats, _round_root
 from crown.serialize import _boxes, _require, parse_frac
@@ -327,7 +331,7 @@ def solve_star_fraction(inst: StarInstance, eps, corner_candidates: Optional[int
 def tree_path_from_one_end(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
     """Edge ids on the path between a and b in a forest given as vertex ->
     {neighbour: edge id}, from b back to a; a and b must share a tree.
-    ``stars._tree_path`` searching breadth first from a alone."""
+    A breadth-first search from a alone, the oracle for ``stars._tree_path``."""
     via: Dict[int, Optional[Tuple[int, int]]] = {a: None}  # vertex -> (previous vertex, edge)
     queue = deque([a])
     while b not in via:
@@ -341,6 +345,99 @@ def tree_path_from_one_end(adj: List[Dict[int, int]], a: int, b: int) -> List[in
         b, e = via[b]
         path.append(e)
     return path
+
+
+def tree_path_two_ended(adj: List[Dict[int, int]], a: int, b: int) -> List[int]:
+    """Edge ids on the path from b to a in a forest given as vertex ->
+    {neighbour: edge id}; a and b must share a tree.
+
+    Searches breadth first from both ends, a level at a time from the
+    smaller frontier, until a vertex is reached from both; the tree path
+    is unique, so the meeting vertex splits it.
+    """
+    via = ({a: None}, {b: None})  # per end: vertex -> (vertex toward that end, edge)
+    fronts = [[a], [b]]
+    meet = a if a == b else None
+    while meet is None:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        seen, other = via[side], via[1 - side]
+        level = []
+        for v in fronts[side]:
+            for w, e in adj[v].items():
+                if w not in seen:
+                    seen[w] = (v, e)
+                    if w in other:
+                        meet = w
+                        break
+                    level.append(w)
+            if meet is not None:
+                break
+        fronts[side] = level
+    path = []
+    v = meet
+    while via[1][v] is not None:  # meet back to b, reversed below
+        v, e = via[1][v]
+        path.append(e)
+    path.reverse()
+    v = meet
+    while via[0][v] is not None:
+        v, e = via[0][v]
+        path.append(e)
+    return path
+
+
+def partition_planar_union_find(graph: ProfitGraph) -> List[StarForest]:
+    """``stars.partition_planar`` with a union-find per forest telling
+    when an edge fits, vertex -> {neighbour: edge} dicts and the
+    two-ended search above for the tree paths."""
+    names = sorted(graph.vertices)
+    num = {v: i for i, v in enumerate(names)}
+    ranked = _ranked(graph)
+    ends = [(num[a], num[b]) for a, b, _ in ranked]
+    if not _is_planar(len(names), ends):
+        raise NotPlanarError("input graph is not planar")
+    home = [-1] * len(ends)  # edge -> its forest
+    adj = [[{} for _ in names] for _ in range(3)]  # forest -> vertex -> {neighbour: edge}
+    roots = [list(range(len(names))) for _ in range(3)]  # forest -> union-find parent
+
+    def find(f: int, v: int) -> int:
+        up = roots[f]
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    for new in range(len(ends)):
+        came: Dict[int, Optional[int]] = {new: None}  # edge -> edge it makes room for
+        queue = deque([new])
+        sink = None
+        while sink is None:
+            e = queue.popleft()
+            a, b = ends[e]
+            others = [f for f in range(3) if f != home[e]]
+            sink = next((f for f in others if find(f, a) != find(f, b)), None)
+            if sink is None:
+                for f in others:
+                    for h in tree_path_two_ended(adj[f], a, b):
+                        if h not in came:
+                            came[h] = e
+                            queue.append(h)
+        roots[sink][find(sink, a)] = find(sink, b)
+        f = sink
+        while e is not None:
+            a, b = ends[e]
+            old = home[e]
+            if old >= 0:
+                del adj[old][a][b], adj[old][b][a]
+            adj[f][a][b] = adj[f][b][a] = e
+            home[e] = f
+            e, f = came[e], old
+
+    out: List[StarForest] = []
+    for f in range(3):
+        edges = [(names[a], names[b]) for e, (a, b) in enumerate(ends) if home[e] == f]
+        out.extend(half for half in partition_tree(edges) if half.stars)
+    return out
 
 
 def is_planar_nx(n: int, edges: Sequence[Tuple[int, int]]) -> bool:

@@ -17,7 +17,13 @@ from crown.errors import CrownError
 from crown.gap import GapInstance, GapItem, knapsack_fptas
 from crown.geometry import BoxSpec, ProfitGraph
 from crown.hier import EmbeddedDag, assign_y, solve_x, sweep_order
-from crown.pipeline import box_dimensions, document_instance, preprocess, top_stems
+from crown.pipeline import (
+    box_dimensions,
+    document_instance,
+    preprocess,
+    random_baseline,
+    top_stems,
+)
 from crown.stars import StarInstance, max_crown_stars, solve_star
 
 SUBMODULES = [
@@ -101,6 +107,9 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         lambda: knapsack_fptas([(1,)], 1, Fraction(1, 4)),
         lambda: knapsack_fptas([1], 1, Fraction(1, 4)),
         lambda: box_dimensions(preprocess("alpha beta"), ["zz"]),
+        lambda: random_baseline(ProfitGraph(), {}, None),
+        lambda: random_baseline(ProfitGraph(), {}, 0.5),
+        lambda: random_baseline(ProfitGraph(), {}, [1]),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
@@ -115,7 +124,8 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         "solve-star-float-corners",
         "top-stems-float-k", "document-str-k", "dag-assign-y-no-height",
         "dag-sweep-order-no-level", "knapsack-short-item", "knapsack-int-item",
-        "box-dimensions-unknown-word",
+        "box-dimensions-unknown-word", "baseline-none-seed", "baseline-float-seed",
+        "baseline-list-seed",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):

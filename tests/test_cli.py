@@ -586,7 +586,9 @@ def undecodable_corpus(tmp_path):
 
 def test_bench_csv_of_an_undecodable_file_name_exits_2(tmp_path):
     out = tmp_path / "x.csv"
-    assert_one_failure_line(run_cli("bench", undecodable_corpus(tmp_path), "--csv", out), "io")
+    proc = run_cli("bench", undecodable_corpus(tmp_path), "--csv", out)
+    assert_one_failure_line(proc, "io")
+    assert str(out) in json.loads(proc.stderr)["detail"]  # names the file it could not write
     assert not out.exists()  # not even the header and the tides rows
 
 

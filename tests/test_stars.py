@@ -40,6 +40,7 @@ from oracles import (
     is_planar_nx,
     maximal_planar_subgraph_brute,
     maximal_planar_subgraph_union,
+    partition_planar_union_find,
     path_stays_planar_near,
     rand_block_graph,
     rand_clustered_graph,
@@ -261,14 +262,25 @@ def test_partition_planar_keeps_the_tree_split_of_a_forest(seed, tied):
 
 
 def random_forest(rng, n):
-    """Vertex -> {neighbour: edge id} over a random recursive tree on n
-    vertices with about a sixth of its edges dropped, edge ids shuffled."""
-    pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+    """A random recursive forest on n shuffled vertices, about a sixth of
+    its edges dropped and edge ids shuffled, as parent links (vertex ->
+    (parent, edge id) or None at a root) and as vertex -> {neighbour:
+    edge id}."""
+    order = rng.sample(range(n), n)
+    pairs = [(order[rng.randrange(i)], order[i]) for i in range(1, n) if rng.random() < 0.85]
     ids = rng.sample(range(len(pairs)), len(pairs))
+    up = [None] * n
     adj = [{} for _ in range(n)]
-    for e, (a, b) in zip(ids, pairs):
-        adj[a][b] = adj[b][a] = e
-    return adj
+    for e, (parent, v) in zip(ids, pairs):
+        up[v] = (parent, e)
+        adj[parent][v] = adj[v][parent] = e
+    return up, adj
+
+
+def tree_root(up, v):
+    while up[v] is not None:
+        v = up[v][0]
+    return v
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,12 +288,17 @@ def random_forest(rng, n):
 def test_tree_path_matches_the_one_ended_search(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 80)
-    adj = random_forest(rng, n)
+    up, adj = random_forest(rng, n)
     for _ in range(30):
         a = b = rng.randrange(n)
-        for _ in range(rng.randrange(12)):  # a random walk stays in a's tree
+        if rng.random() < 0.5:
+            b = rng.randrange(n)  # mostly in another tree
+        for _ in range(rng.randrange(12)):  # a random walk stays in b's tree
             b = rng.choice(list(adj[b]) or [b])
-        assert stars._tree_path(adj, a, b) == tree_path_from_one_end(adj, a, b)
+        if tree_root(up, a) == tree_root(up, b):
+            assert stars._tree_path(up, a, b) == tree_path_from_one_end(adj, a, b)
+        else:
+            assert stars._tree_path(up, a, b) is None
 
 
 @lru_cache(maxsize=None)
@@ -299,12 +316,38 @@ def stacked_graph(n):
     "source, size",
     [("corpus", 50), ("corpus", 100), ("stacked", 300), ("stacked", 1000), ("stacked", 3000)],
 )
-def test_partition_planar_matches_the_one_ended_tree_path(source, size):
+def test_partition_planar_matches_the_union_find_oracle(source, size):
     graphs = corpus_planar(size) if source == "corpus" else [("stacked", stacked_graph(size))]
     for name, g in graphs:
-        got = partition_planar(g)
-        with mock.patch.object(stars, "_tree_path", tree_path_from_one_end):
-            assert partition_planar(g) == got, name
+        assert partition_planar(g) == partition_planar_union_find(g), name
+
+
+def test_partition_planar_walks_grow_near_linearly(monkeypatch):
+    # Every step of a tree-path walk or a re-rooting reads a parent link;
+    # on stacked triangulations 4x the vertices may cost at most 6x the
+    # reads (4.6x at these sizes).
+    reads = [0]
+
+    class Counted:
+        def __init__(self, up):
+            self.up = up
+
+        def __getitem__(self, v):
+            reads[0] += 1
+            return self.up[v]
+
+        def __setitem__(self, v, link):
+            self.up[v] = link
+
+    for name in ("_tree_path", "_link"):
+        walk = getattr(stars, name)
+        monkeypatch.setattr(stars, name, lambda up, *args, walk=walk: walk(Counted(up), *args))
+    counts = []
+    for n in (500, 2000):
+        reads[0] = 0
+        partition_planar(stacked_graph(n))
+        counts.append(reads[0])
+    assert counts[1] <= 6 * counts[0], counts
 
 
 def unit_boxes(ids):
