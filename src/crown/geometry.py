@@ -39,8 +39,9 @@ def rat(value) -> Fraction:
 
     Raises ParameterError for a string that is not a rational, has a
     zero denominator or an exponent past ``MAX_EXPONENT`` in size, and
-    for any other type but float.  A float raises TypeError: passing one
-    is a programming error, outside the ``CrownError`` contract.
+    for any other type but float, a bool included.  A float raises
+    TypeError: passing one is a programming error, outside the
+    ``CrownError`` contract.
     """
     # Fraction, then str: a type test before them slows document parsing.
     if isinstance(value, Fraction):
@@ -58,7 +59,8 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(value, int):
-        return Fraction(value)
+        if not isinstance(value, bool):
+            return Fraction(value)
     elif isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational")
     raise ParameterError(f"not an exact rational: {value!r}")

@@ -13,6 +13,7 @@ order of v's predecessors below it.  For a vertex with no outgoing edge
 (the sink) the list is taken as already starting at the leftmost child.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -209,15 +210,18 @@ def solve_x(
     Everything is a difference constraint after substituting r = l + w:
     an edge (i, j) needs l_j - l_i <= w_i - delta and l_i - l_j <=
     w_j - delta; an order pair (a, b) needs l_a - l_b <= -w_a.  Solved by
-    shortest paths from the anchor (l_anchor = 0).  A negative cycle
-    raises HierInfeasibleError("solve_x", [descriptors around it]); an
+    shortest paths from the anchor (l_anchor = 0), which a queue
+    (Bellman-Ford-Tarjan, ``_queue_distances``) finds.  When the queue
+    closes a negative cycle, n Bellman-Ford passes in arc order run only
+    to name one: HierInfeasibleError("solve_x", [descriptors around the
+    predecessor cycle n steps back from pass n's last relaxation]).  An
     endpoint or anchor with no width raises ParameterError.
 
     The shortest paths run on integers over vertex numbers (the order of
     ``widths``): every cost is counted in units of 1/unit, unit = lcm of
     the denominators of delta and the widths.  Scaling by a positive
-    integer keeps every comparison, so distances, predecessors and
-    witnesses are those of the same search on Fractions.
+    integer keeps every comparison, so distances and witnesses are those
+    of the same searches on Fractions.
     """
     delta = rat(delta)
     widths = {v: rat(w) for v, w in widths.items()}
@@ -235,15 +239,26 @@ def solve_x(
     for a, b in order:
         arcs.append((index[b], index[a], -w_u[index[a]]))
         why.append(("order", a, b))
-    cons = [(k, *arc) for k, arc in enumerate(arcs)]
-
     n = len(index)
-    dist: List[Optional[int]] = [None] * n
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, c in arcs:
+        out[u].append((v, c))
+    dist = _queue_distances(out, index[anchor])
+    if dist is not None:
+        missing = sorted(v for v, d in zip(widths, dist) if d is None)
+        if missing:
+            raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
+        return {v: Fraction(d, unit) for v, d in zip(widths, dist)}
+
+    # The queue closed a negative cycle, so each of n passes in arc order
+    # relaxes, and n predecessor steps back from pass n's last relaxation
+    # land on a cycle: a chain that ended at the anchor would be a path of
+    # under n edges cheaper than every walk of under n edges.
+    cons = [(k, *arc) for k, arc in enumerate(arcs)]
+    dist = [None] * n
     pred = [0] * n
     dist[index[anchor]] = 0
-
     for _ in range(n):
-        last = None
         for k, u, v, c in cons:
             du = dist[u]
             if du is None:
@@ -253,14 +268,6 @@ def solve_x(
                 dist[v] = du + c
                 pred[v] = k
                 last = v
-        if last is None:
-            missing = sorted(v for v, d in zip(widths, dist) if d is None)
-            if missing:
-                raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
-            return {v: Fraction(d, unit) for v, d in zip(widths, dist)}
-    # A relaxation in pass n means a negative cycle, and n predecessor steps
-    # back from it land on one: a chain that ended at the anchor would be a
-    # path of under n edges cheaper than every walk of under n edges.
     for _ in range(n):
         last = arcs[pred[last]][0]
     cycle = []
@@ -269,6 +276,52 @@ def solve_x(
         cycle.append(why[pred[v]])
         v = arcs[pred[v]][0]
     raise HierInfeasibleError("solve_x", cycle[::-1])
+
+
+def _queue_distances(out: List[List[Tuple[int, int]]], source: int) -> Optional[List]:
+    """Distances from ``source`` over the arcs ``out[u] = [(v, cost), ...]``
+    (None where it does not reach), or None when a negative cycle is
+    reachable.  Bellman-Ford-Tarjan: a FIFO queue over a shortest-path tree
+    of tight arcs.  Before v takes a shorter distance through u, v's
+    subtree leaves the tree and the queue, as its distances came through
+    v's old one; meeting u there (or u == v) closes a negative cycle.
+    """
+    n = len(out)
+    dist: List[Optional[int]] = [None] * n
+    parent: List[Optional[int]] = [None] * n
+    kids: List[List[int]] = [[] for _ in range(n)]  # may hold stale entries
+    queued = [False] * n
+    dist[source] = 0
+    queued[source] = True
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if not queued[u]:  # left the queue with a disassembled subtree
+            continue
+        queued[u] = False
+        du = dist[u]
+        for v, c in out[u]:
+            dv = dist[v]
+            if dv is not None and du + c >= dv:
+                continue
+            stack = [v]
+            while stack:
+                w = stack.pop()
+                if w == u:
+                    return None
+                for x in kids[w]:
+                    if parent[x] == w:
+                        parent[x] = None
+                        queued[x] = False
+                        stack.append(x)
+                kids[w].clear()
+            dist[v] = du + c
+            parent[v] = u
+            kids[u].append(v)
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
+    return dist
 
 
 def default_delta(boxes: Mapping[str, BoxSpec]) -> Fraction:

@@ -117,8 +117,9 @@ def preprocess(text: str) -> WordStats:
 
 
 def top_stems(stats: WordStats, k: int) -> List[str]:
-    """The k most frequent stems, ties by stem; ParameterError unless k is an int >= 0."""
-    if not isinstance(k, int):
+    """The k most frequent stems, ties by stem; ParameterError unless k is
+    an int >= 0 and not a bool."""
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ParameterError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
@@ -205,9 +206,9 @@ def random_baseline(
     centers are the float expression round(r * cos * 64) / 64 that has
     always defined this baseline's output, and an exact spiral would
     place the boxes elsewhere.  Raises ParameterError when a graph vertex
-    has no box or the seed is not an int.
+    has no box or the seed is not an int or is a bool.
     """
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParameterError(f"seed must be an int, got {seed!r}")
     require_boxes(graph.vertices, boxes)
     rng = Random(seed)

@@ -92,9 +92,11 @@ _CORNER_OFFSETS = (
 
 def _check_star_params(eps, corner_candidates: Optional[int]) -> Fraction:
     """``eps`` as a Fraction; ParameterError for eps outside (0, 1) or a
-    corner cap that is not an int >= 0."""
+    corner cap that is not an int >= 0 or is a bool."""
     if corner_candidates is not None and (
-        not isinstance(corner_candidates, int) or corner_candidates < 0
+        isinstance(corner_candidates, bool)
+        or not isinstance(corner_candidates, int)
+        or corner_candidates < 0
     ):
         raise ParameterError(f"corner_candidates must be an int >= 0, got {corner_candidates!r}")
     return check_eps(eps)

@@ -110,6 +110,16 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         lambda: random_baseline(ProfitGraph(), {}, None),
         lambda: random_baseline(ProfitGraph(), {}, 0.5),
         lambda: random_baseline(ProfitGraph(), {}, [1]),
+        lambda: random_baseline(ProfitGraph(), {}, True),
+        lambda: BoxSpec("a", True, True),
+        lambda: solve_star(
+            StarInstance(_unit("c"), (_unit("l"),), {"l": 1}), Fraction(1, 4), True
+        ),
+        lambda: max_crown_stars(
+            ProfitGraph("ab", {("a", "b"): 1}), {"a": _unit("a"), "b": _unit("b")},
+            Fraction(1, 4), True,
+        ),
+        lambda: top_stems(preprocess(TEXT), True),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
@@ -125,7 +135,8 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         "top-stems-float-k", "document-str-k", "dag-assign-y-no-height",
         "dag-sweep-order-no-level", "knapsack-short-item", "knapsack-int-item",
         "box-dimensions-unknown-word", "baseline-none-seed", "baseline-float-seed",
-        "baseline-list-seed",
+        "baseline-list-seed", "baseline-bool-seed", "box-bool",
+        "solve-star-bool-corners", "max-stars-bool-corners", "top-stems-bool-k",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):

@@ -1,12 +1,14 @@
 """Hierarchy solver: y-assignment, sweep ordering, x-feasibility."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crown import hier
 from crown.errors import HierInfeasibleError, ParameterError
 from crown.geometry import BoxSpec, detect_contacts, on_unit, rat
 from crown.hier import (
@@ -444,6 +446,71 @@ def test_arbitrary_systems_are_mostly_negative_cycles():
 def test_fraction_reference_refuses_a_vertex_with_no_width(widths, edges, order, anchor):
     # both solvers raise the same ParameterError, compared by x_outcome
     assert x_outcome(widths, edges, order, Fraction(1, 10), anchor) == "parameter"
+
+
+@pytest.mark.parametrize(
+    "widths, order, anchor, want",
+    [
+        ({"s": 1, "a": 1}, [("a", "s"), ("a", "a")], "s", "solve_x"),
+        ({v: 1 for v in "sabcd"},
+         [("a", "s"), ("b", "a"), ("c", "b"), ("d", "c"), ("a", "d")], "s", "solve_x"),
+        ({v: 1 for v in "stabc"}, [("t", "s"), ("a", "b"), ("b", "a")], "s", "parameter"),
+    ],
+    ids=["order-self-pair", "cycle-closes-three-levels-down", "unreached-negative-cycle"],
+)
+def test_solve_x_queue_paths_match_the_reference(widths, order, anchor, want):
+    # An order pair (a, b) is the arc b -> a of cost -w_a.  The self-pair
+    # is a negative self-arc; the chain s -> a -> b -> c -> d puts d three
+    # tree levels below a before d -> a closes the cycle; a <-> b is
+    # negative but neither it nor c hangs from s.
+    assert x_outcome(widths, [], order, Fraction(1, 4), anchor) == want
+
+
+def layered_hierarchy(rng, rows, cols):
+    """A feasible hierarchy: a sink over ``rows`` rows of ``cols`` boxes,
+    each row tiling [0, 4 * cols) at random integer cuts and of one
+    height, each box a child of every box of the row above it overlaps
+    (by at least 1)."""
+    width = 4 * cols
+    layers = [[(0, width)]]
+    for _ in range(rows):
+        cuts = [0, *sorted(rng.sample(range(1, width), cols - 1)), width]
+        layers.append(list(zip(cuts, cuts[1:])))
+    name = {(r, x): f"r{r}x{x[0]}" for r, row in enumerate(layers) for x in row}
+    edges, kids, parents = [], {v: [] for v in name.values()}, {v: [] for v in name.values()}
+    for r in range(1, len(layers)):
+        for x in layers[r]:
+            for p in layers[r - 1]:
+                if p[0] < x[1] and x[0] < p[1]:
+                    edges.append((name[r, x], name[r - 1, p]))
+                    kids[name[r - 1, p]].append(name[r, x])
+                    parents[name[r, x]].append(name[r - 1, p])
+    # ccw: the children left to right below, then the parents right to left
+    rotation = {v: (*kids[v], *parents[v][::-1]) for v in name.values()}
+    dag = EmbeddedDag(tuple(name.values()), tuple(edges), rotation)
+    heights = [rng.randrange(1, 4) for _ in layers]
+    boxes = {v: BoxSpec(v, x[1] - x[0], heights[r]) for (r, x), v in name.items()}
+    return dag, boxes
+
+
+def test_solve_x_queue_pops_grow_near_linearly(monkeypatch):
+    # Each queue pop scans one vertex's arcs; on layered hierarchies 4x
+    # the boxes may cost at most 6x the pops.
+    pops = [0]
+
+    class Counted(deque):
+        def popleft(self):
+            pops[0] += 1
+            return super().popleft()
+
+    monkeypatch.setattr(hier, "deque", Counted)
+    counts = []
+    for side in (10, 20):
+        dag, boxes = layered_hierarchy(random.Random(side), side, side)
+        pops[0] = 0
+        solve_hier(dag, boxes, Fraction(1))
+        counts.append(pops[0])
+    assert counts[1] <= 6 * counts[0], counts
 
 
 def test_solve_x_exact_past_a_64_bit_unit():
