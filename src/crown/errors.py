@@ -60,9 +60,9 @@ class HierInfeasibleError(CrownError):
 
     Witnesses by stage: ``embedding`` an ``EmbeddingViolation`` (kind,
     vertex, detail); ``assign_y`` ``[box, top_a, top_b]``, a box forced
-    to two tops; ``solve_x`` the constraint descriptors around one
-    negative cycle, each ``("edge", child, parent)`` or
-    ``("order", left, right)``.
+    to two tops; ``solve_x`` the constraint descriptors around the first
+    negative cycle its search closes, in walk order, each
+    ``("edge", child, parent)`` or ``("order", left, right)``.
     """
 
     def __init__(self, stage, witness):

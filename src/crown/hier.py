@@ -211,17 +211,17 @@ def solve_x(
     an edge (i, j) needs l_j - l_i <= w_i - delta and l_i - l_j <=
     w_j - delta; an order pair (a, b) needs l_a - l_b <= -w_a.  Solved by
     shortest paths from the anchor (l_anchor = 0), which a queue
-    (Bellman-Ford-Tarjan, ``_queue_distances``) finds.  When the queue
-    closes a negative cycle, n Bellman-Ford passes in arc order run only
-    to name one: HierInfeasibleError("solve_x", [descriptors around the
-    predecessor cycle n steps back from pass n's last relaxation]).  An
-    endpoint or anchor with no width raises ParameterError.
+    (Bellman-Ford-Tarjan, ``_queue_distances``) finds.  The first negative
+    cycle the queue closes is the witness: HierInfeasibleError("solve_x",
+    [descriptors around that cycle, in walk order]).  An endpoint or
+    anchor with no width, or a vertex the anchor does not reach, raises
+    ParameterError.
 
     The shortest paths run on integers over vertex numbers (the order of
     ``widths``): every cost is counted in units of 1/unit, unit = lcm of
     the denominators of delta and the widths.  Scaling by a positive
-    integer keeps every comparison, so distances and witnesses are those
-    of the same searches on Fractions.
+    integer keeps every comparison, so distances are those of the same
+    search on Fractions.
     """
     delta = rat(delta)
     widths = {v: rat(w) for v, w in widths.items()}
@@ -230,65 +230,35 @@ def solve_x(
     for v in (*(v for pair in (*edges, *order) for v in pair), anchor):
         if v not in index:
             raise ParameterError(f"vertex {v!r} has no width")
-    arcs: List[Tuple[int, int, int]] = []  # (tail, head, cost); why[k] describes arcs[k]
-    why: List[Tuple[str, str, str]] = []
+    out: List[List[Tuple[int, int, Tuple[str, str, str]]]] = [[] for _ in index]
     for i, j in edges:
         a, b = index[i], index[j]
-        arcs += [(a, b, w_u[a] - delta_u), (b, a, w_u[b] - delta_u)]
-        why += [("edge", i, j)] * 2
+        out[a].append((b, w_u[a] - delta_u, ("edge", i, j)))
+        out[b].append((a, w_u[b] - delta_u, ("edge", i, j)))
     for a, b in order:
-        arcs.append((index[b], index[a], -w_u[index[a]]))
-        why.append(("order", a, b))
-    n = len(index)
-    out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, c in arcs:
-        out[u].append((v, c))
+        out[index[b]].append((index[a], -w_u[index[a]], ("order", a, b)))
     dist = _queue_distances(out, index[anchor])
-    if dist is not None:
-        missing = sorted(v for v, d in zip(widths, dist) if d is None)
-        if missing:
-            raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
-        return {v: Fraction(d, unit) for v, d in zip(widths, dist)}
-
-    # The queue closed a negative cycle, so each of n passes in arc order
-    # relaxes, and n predecessor steps back from pass n's last relaxation
-    # land on a cycle: a chain that ended at the anchor would be a path of
-    # under n edges cheaper than every walk of under n edges.
-    cons = [(k, *arc) for k, arc in enumerate(arcs)]
-    dist = [None] * n
-    pred = [0] * n
-    dist[index[anchor]] = 0
-    for _ in range(n):
-        for k, u, v, c in cons:
-            du = dist[u]
-            if du is None:
-                continue
-            dv = dist[v]
-            if dv is None or du + c < dv:
-                dist[v] = du + c
-                pred[v] = k
-                last = v
-    for _ in range(n):
-        last = arcs[pred[last]][0]
-    cycle = []
-    v = last
-    while not cycle or v != last:
-        cycle.append(why[pred[v]])
-        v = arcs[pred[v]][0]
-    raise HierInfeasibleError("solve_x", cycle[::-1])
+    missing = sorted(v for v, d in zip(widths, dist) if d is None)
+    if missing:
+        raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
+    return {v: Fraction(d, unit) for v, d in zip(widths, dist)}
 
 
-def _queue_distances(out: List[List[Tuple[int, int]]], source: int) -> Optional[List]:
-    """Distances from ``source`` over the arcs ``out[u] = [(v, cost), ...]``
-    (None where it does not reach), or None when a negative cycle is
-    reachable.  Bellman-Ford-Tarjan: a FIFO queue over a shortest-path tree
-    of tight arcs.  Before v takes a shorter distance through u, v's
-    subtree leaves the tree and the queue, as its distances came through
-    v's old one; meeting u there (or u == v) closes a negative cycle.
+def _queue_distances(out: List[List[Tuple[int, int, Tuple]]], source: int) -> List[Optional[int]]:
+    """Distances from ``source`` over the arcs ``out[u] = [(v, cost, why),
+    ...]``, None where it does not reach.  Bellman-Ford-Tarjan: a FIFO
+    queue over a shortest-path tree of tight arcs.  Before v takes a
+    shorter distance through u, v's subtree leaves the tree and the queue,
+    as its distances came through v's old one.  Meeting u there (or
+    u == v) closes a negative cycle, the tree path from v down to u and
+    then (u, v): its tree arcs are tight, so it costs d[u] + c - d[v] < 0.
+    Raises HierInfeasibleError("solve_x", [the arcs' ``why``, in walk
+    order]).
     """
     n = len(out)
     dist: List[Optional[int]] = [None] * n
-    parent: List[Optional[int]] = [None] * n
+    parent: List[Optional[int]] = [None] * n  # stale once out of the tree
+    link: List[Optional[Tuple]] = [None] * n  # why of the tree arc into v
     kids: List[List[int]] = [[] for _ in range(n)]  # may hold stale entries
     queued = [False] * n
     dist[source] = 0
@@ -300,7 +270,7 @@ def _queue_distances(out: List[List[Tuple[int, int]]], source: int) -> Optional[
             continue
         queued[u] = False
         du = dist[u]
-        for v, c in out[u]:
+        for v, c, why in out[u]:
             dv = dist[v]
             if dv is not None and du + c >= dv:
                 continue
@@ -308,15 +278,19 @@ def _queue_distances(out: List[List[Tuple[int, int]]], source: int) -> Optional[
             while stack:
                 w = stack.pop()
                 if w == u:
-                    return None
+                    cycle = [why]
+                    while w != v:
+                        cycle.append(link[w])
+                        w = parent[w]
+                    raise HierInfeasibleError("solve_x", cycle[::-1])
                 for x in kids[w]:
                     if parent[x] == w:
-                        parent[x] = None
                         queued[x] = False
                         stack.append(x)
                 kids[w].clear()
             dist[v] = du + c
             parent[v] = u
+            link[v] = why
             kids[u].append(v)
             if not queued[v]:
                 queued[v] = True

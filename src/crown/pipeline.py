@@ -264,8 +264,8 @@ def document_instance(
 ) -> Tuple[List[BoxSpec], ProfitGraph, Dict[str, str]]:
     """Boxes (in rank order), profit graph, and display labels for the
     document's top-k stems, ranked once.  ParameterError unless k is an
-    int, InvalidInstanceError when it is below 2."""
-    if isinstance(k, int) and k < 2:
+    int and not a bool, InvalidInstanceError when it is below 2."""
+    if isinstance(k, int) and not isinstance(k, bool) and k < 2:
         raise InvalidInstanceError(f"need k >= 2, got {k}")
     stats = preprocess(text)
     stems = top_stems(stats, k)

@@ -11,6 +11,7 @@ integer solutions whenever they have any).
 
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -670,6 +671,28 @@ def max_degree(graph: ProfitGraph) -> int:
     return max(graph.degrees().values(), default=0)
 
 
+def line_events(module, fn, *args) -> int:
+    """Line events in ``module``'s source file while ``fn(*args)`` runs: a
+    work count that does not depend on the machine's speed."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename == module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
 def solve_x_fraction(
     widths: Mapping[str, Fraction],
     edges: Sequence[Tuple[str, str]],
@@ -677,67 +700,35 @@ def solve_x_fraction(
     delta,
     anchor: str,
 ) -> Dict[str, Fraction]:
-    """``hier.solve_x`` with the Bellman-Ford distances on Fractions."""
+    """``hier.solve_x``'s distances and verdicts by Bellman-Ford passes on
+    Fractions.  An infeasible system raises with witness None: which
+    negative cycle ``solve_x`` names is its own queue's choice."""
     delta = rat(delta)
     for v in (*(v for pair in (*edges, *order) for v in pair), anchor):
         if v not in widths:
             raise ParameterError(f"vertex {v!r} has no width")
-    cons: List[Tuple[str, str, Fraction, Tuple]] = []
+    cons: List[Tuple[str, str, Fraction]] = []
     for i, j in edges:
-        cons.append((i, j, rat(widths[i]) - delta, ("edge", i, j)))
-        cons.append((j, i, rat(widths[j]) - delta, ("edge", i, j)))
+        cons.append((i, j, rat(widths[i]) - delta))
+        cons.append((j, i, rat(widths[j]) - delta))
     for a, b in order:
-        cons.append((b, a, -rat(widths[a]), ("order", a, b)))
+        cons.append((b, a, -rat(widths[a])))
 
     dist: Dict[str, Optional[Fraction]] = {v: None for v in widths}
-    pred: Dict[str, int] = {}
     dist[anchor] = Fraction(0)
-    n = len(dist)
-
-    def relax_pass() -> Optional[str]:
-        hit = None
-        for idx, (u, v, c, _) in enumerate(cons):
+    for _ in range(len(dist)):
+        relaxed = False
+        for u, v, c in cons:
             if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
                 dist[v] = dist[u] + c
-                pred[v] = idx
-                hit = v
-        return hit
-
-    last = None
-    for _ in range(n):
-        last = relax_pass()
-        if last is None:
+                relaxed = True
+        if not relaxed:
             missing = sorted(v for v, d in dist.items() if d is None)
             if missing:
                 raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")
             return dict(dist)
-    # A relaxation in the n-th pass means a negative cycle.  Any cycle of
-    # predecessor pointers has negative weight, so keep relaxing until the
-    # pointers close one, then report the constraints around it.
-    for _ in range(4 * n + 4):
-        cyc = _pred_cycle(last, pred, cons, n)
-        if cyc is not None:
-            raise HierInfeasibleError("solve_x", cyc)
-        last = relax_pass() or last
-    raise HierInfeasibleError("solve_x", [cons[pred[last]][3]])
-
-
-def _pred_cycle(v: str, pred: Dict[str, int], cons, n: int):
-    """Constraint descriptors around a predecessor-pointer cycle, if any."""
-    x = v
-    for _ in range(n):
-        if x not in pred:
-            return None
-        x = cons[pred[x]][0]
-    at: Dict[str, int] = {}
-    trail: List[int] = []
-    while x in pred:
-        if x in at:
-            return [cons[i][3] for i in trail[at[x] :][::-1]]
-        at[x] = len(trail)
-        trail.append(pred[x])
-        x = cons[pred[x]][0]
-    return None
+    # A relaxation in the n-th pass means a negative cycle.
+    raise HierInfeasibleError("solve_x", None)
 
 
 Rect = Tuple[Fraction, Fraction, Fraction, Fraction]  # x1, y1, x2, y2

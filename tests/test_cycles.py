@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +25,7 @@ from crown.pipeline import document_instance, load_corpus
 
 from fixtures_extremal import contact_pairs
 from oracles import (
+    line_events,
     max_crown_cycles_every_cover,
     max_degree,
     rand_clustered_graph,
@@ -286,32 +286,13 @@ def test_colouring_gives_no_vertex_two_arcs_of_a_colour_on_one_side(data, balanc
         assert len(set(ends)) == len(ends)
 
 
-def cycles_line_events(graph):
-    """Line events in crown/cycles.py while decompose_cycle_covers(graph) runs."""
-    events = 0
-
-    def local(frame, event, arg):
-        nonlocal events
-        events += event == "line"
-        return local
-
-    def call(frame, event, arg):
-        return local if frame.f_code.co_filename == cycles.__file__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        decompose_cycle_covers(graph)
-    finally:
-        sys.settrace(previous)
-    return events
-
-
 def test_decompose_work_grows_linearly():
     # 4x the vertices and edges at max degree 16 may cost at most 6x the
     # work.  Hubs are left out: the free-colour pick is O(deg).
     small, large = (
-        cycles_line_events(rand_sparse_graph(random.Random(n), n, 3 * n, 16))
+        line_events(
+            cycles, decompose_cycle_covers, rand_sparse_graph(random.Random(n), n, 3 * n, 16)
+        )
         for n in (250, 1000)
     )
     assert large <= 6 * small, (small, large)

@@ -22,7 +22,7 @@ from crown.hier import (
     validate_embedding,
 )
 
-from oracles import hier_feasible, rand_embedded_dag, solve_x_fraction
+from oracles import hier_feasible, line_events, rand_embedded_dag, solve_x_fraction
 
 
 def dag_of(edges, rotation):
@@ -118,21 +118,18 @@ def test_solve_x_two_preds_too_wide():
 
 def test_solve_x_witness_is_the_cycle_its_relaxation_order_finds():
     # two negative cycles, a <-> b and c <-> d, both reachable from s; the
-    # last pass of relaxations ends on the one whose pairs come later
+    # queue pops s's children in edge order, so b (hung from a) pops
+    # before d (hung from c) and closes a <-> b, whichever pairs come first
     widths = {"s": Fraction(4), "a": Fraction(1), "b": Fraction(2),
               "c": Fraction(1), "d": Fraction(3)}
     edges = [("a", "s"), ("c", "s"), ("b", "s"), ("d", "s")]
     ab = [("a", "b"), ("b", "a")]
     cd = [("c", "d"), ("d", "c")]
-    for order, want in (
-        (ab + cd, [("order", "d", "c"), ("order", "c", "d")]),
-        (cd + ab, [("order", "b", "a"), ("order", "a", "b")]),
-    ):
-        for solver in (solve_x, solve_x_fraction):
-            with pytest.raises(HierInfeasibleError) as err:
-                solver(widths, edges, order, Fraction(1, 2), "s")
-            assert err.value.stage == "solve_x"
-            assert err.value.witness == want
+    for order in (ab + cd, cd + ab):
+        with pytest.raises(HierInfeasibleError) as err:
+            solve_x(widths, edges, order, Fraction(1, 2), "s")
+        assert err.value.stage == "solve_x"
+        assert err.value.witness == [("order", "b", "a"), ("order", "a", "b")]
 
 
 def test_validate_embedding_catches_unknown_vertex():
@@ -352,20 +349,28 @@ def off_grid(rng, hi):
     return Fraction(rng.randrange(1, hi * d + 1), d)
 
 
-def x_outcome(*args):
+def x_outcome(widths, edges, order, delta, anchor):
     """solve_x and its Fraction reference on the same input must give the
-    same left coordinates (as Fractions), the same stage and witness, or
-    the same ParameterError; returns "ok", the stage or "parameter"."""
+    same left coordinates (as Fractions), the same stage, or the same
+    ParameterError; solve_x's witness must be a certificate: constraints
+    of the instance that chain into a closed walk of negative weight.
+    Returns "ok", the stage or "parameter"."""
     results = []
     for solver in (solve_x, solve_x_fraction):
         try:
-            results.append(("ok", solver(*args)))
+            results.append(("ok", solver(widths, edges, order, delta, anchor)))
         except HierInfeasibleError as err:
             results.append((err.stage, err.witness))
         except ParameterError as err:
             results.append(("parameter", str(err)))
     got, want = results
-    assert got == want
+    assert got[0] == want[0]
+    if got[0] == "solve_x":
+        constraints = {("edge", *e) for e in edges} | {("order", *p) for p in order}
+        assert got[1] and set(got[1]) <= constraints
+        assert any(w < 0 for w in closed_walk_weights(got[1], widths, rat(delta)))
+    else:
+        assert got == want
     if got[0] == "ok":
         assert all(type(x) is Fraction for x in got[1].values())
     return got[0]
@@ -397,12 +402,13 @@ def test_fraction_reference_draws_reach_both_verdicts():
 
 
 def random_system_outcome(seed):
-    """x_outcome on an arbitrary system over at most 7 vertices: edges and
-    order pairs drawn at random, self-pairs included, any anchor.  Most
-    draws hold a negative cycle; one in eight names a vertex with no
-    width as an edge or order endpoint or as the anchor."""
+    """x_outcome on an arbitrary system over at most 7 vertices, or 39 on
+    one draw in ten: edges and order pairs drawn at random, self-pairs
+    included, any anchor.  Most draws hold a negative cycle; one in eight
+    names a vertex with no width as an edge or order endpoint or as the
+    anchor."""
     rng = random.Random(seed)
-    vs = [f"v{i}" for i in range(rng.randrange(1, 8))]
+    vs = [f"v{i}" for i in range(rng.randrange(1, 40 if rng.randrange(10) == 0 else 8))]
     widths = {v: off_grid(rng, 6) for v in vs}
 
     def pairs():
@@ -422,8 +428,8 @@ def random_system_outcome(seed):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_solve_x_matches_fraction_reference_on_any_system(seed):
-    # solve_x walks n predecessor steps back from the last relaxation with
-    # no fallback; it must name the cycle the reference's loop closes
+    # the draws of up to 39 vertices let the tree path in a witness run
+    # several levels deep
     random_system_outcome(seed)
 
 
@@ -511,6 +517,23 @@ def test_solve_x_queue_pops_grow_near_linearly(monkeypatch):
         solve_hier(dag, boxes, Fraction(1))
         counts.append(pops[0])
     assert counts[1] <= 6 * counts[0], counts
+
+
+def solve_x_fails(dag, boxes):
+    with pytest.raises(HierInfeasibleError) as err:
+        solve_hier(dag, boxes, Fraction(3, 2))
+    assert err.value.stage == "solve_x"
+
+
+def test_solve_x_infeasible_work_grows_near_linearly():
+    # At delta 3/2 a box of width 1 cannot overlap its parent enough, so
+    # the queue closes a negative cycle; 4x the boxes may cost at most 6x
+    # the line events in hier.py, witness included.
+    small, large = (
+        line_events(hier, solve_x_fails, *layered_hierarchy(random.Random(side), side, side))
+        for side in (10, 20)
+    )
+    assert large <= 6 * small, (small, large)
 
 
 def test_solve_x_exact_past_a_64_bit_unit():

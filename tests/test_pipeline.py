@@ -224,8 +224,8 @@ def test_document_instance_shapes():
 @pytest.mark.parametrize(
     "k, error",
     [(-1, InvalidInstanceError), (0, InvalidInstanceError), (1, InvalidInstanceError),
-     (True, InvalidInstanceError), (1.5, ParameterError), ("5", ParameterError),
-     (None, ParameterError)],
+     (True, ParameterError), (False, ParameterError), (1.5, ParameterError),
+     ("5", ParameterError), (None, ParameterError)],
 )
 def test_document_instance_needs_an_int_k_of_at_least_two(k, error):
     with pytest.raises(error):
