@@ -51,17 +51,12 @@ EXIT_INFEASIBLE = 3
 ALGORITHMS = ("star-forest", "cycle-cover", "random")
 
 
-def _jsonable(value):
-    """A witness (a dataclass, or lists of ids, Fractions and pairs) as JSON data."""
-    if dataclasses.is_dataclass(value):
-        return _jsonable(dataclasses.asdict(value))
+def _plain(value):
+    """``json.dumps``'s hook for a witness: a Fraction as ``frac_str``
+    writes it, a dataclass as the dict of its fields."""
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    return dataclasses.asdict(value)  # a TypeError for any other type, as json expects
 
 
 def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
@@ -70,7 +65,7 @@ def _fail(code: int, kind: str, detail: str, stage=None, witness=None) -> int:
         report["stage"] = stage
     if witness is not None:
         report["witness"] = witness
-    print(json.dumps(report), file=sys.stderr)
+    print(json.dumps(report, default=_plain), file=sys.stderr)
     return code
 
 
@@ -279,11 +274,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HierInfeasibleError, TriangulationInfeasibleError) as exc:
-        try:  # encode first: a witness too long to write is exit 2
-            witness = _jsonable(exc.witness)
+        try:  # json.dumps raises before printing: a witness too long to write is exit 2
+            return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, exc.witness)
         except TooLargeError as big:
             return _fail(EXIT_MALFORMED, type(big).__name__, str(big))
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), exc.stage, witness)
     except FormatError as exc:
         return _fail(EXIT_MALFORMED, "format", str(exc))
     except InvalidInstanceError as exc:

@@ -148,7 +148,8 @@ class ProfitGraph:
         return [(a, b, self._profit[(a, b)]) for a, b in sorted(self._profit)]
 
     def total_profit(self) -> Fraction:
-        return sum(self._profit.values(), Fraction(0))
+        unit, counts = on_unit(self._profit.values())
+        return Fraction(sum(counts), unit)
 
     def degrees(self) -> Dict[str, int]:
         """Degree of every vertex, counted in one pass over the edges."""

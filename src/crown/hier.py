@@ -113,10 +113,9 @@ def validate_embedding(dag: EmbeddedDag) -> Optional[EmbeddingViolation]:
         )
     # Every vertex reaches the sink: out-walks of an acyclic graph end at a sink.
 
-    edge_set = set(dag.edges)
     for v in sorted(dag.vertices):
         rot = dag.rotation.get(v, ())
-        labels = [(u, v) in edge_set for u in rot]
+        labels = [u in dag._ins[v] for u in rot]
         flips = sum(1 for i in range(len(labels)) if labels[i] != labels[i - 1])
         if flips > 2:
             return EmbeddingViolation(

@@ -20,6 +20,7 @@ order ``_ranked`` gives.  The module needs nothing beyond the standard
 library.
 """
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def _corner_pool(inst: StarInstance, cap: Optional[int]) -> List[int]:
         fits = leaf.w <= c.w or leaf.h <= c.h
         return (fits, -inst.profits[leaf.id], i)
 
-    return sorted(sorted(range(n), key=rank)[:cap])
+    return sorted(heapq.nsmallest(cap, range(n), key=rank))
 
 
 def solve_star(inst: StarInstance, eps, corner_candidates: Optional[int] = None) -> Layout:
@@ -394,25 +395,20 @@ def max_crown_stars(
 
     The partition has k forests (2 for forests, at most 6 in general), so
     the best one carries at least 1/k of the realizable profit and the
-    star solver keeps its GAP share of that.  Raises ParameterError for
-    eps outside (0, 1) or a negative ``corner_candidates``, and
-    TooLargeError for a star whose corner pool is too large (see
-    solve_star).  Raises ParameterError, too, when a graph vertex has
-    no box.
+    star solver keeps its GAP share of that; a tie keeps the earlier
+    forest.  Raises ParameterError for eps outside (0, 1) or a negative
+    ``corner_candidates``, and TooLargeError for a star whose corner
+    pool is too large (see solve_star).  Raises ParameterError, too,
+    when a graph vertex has no box.
     """
     _check_star_params(eps, corner_candidates)
     require_boxes(graph.vertices, boxes)
-    forests = partition_planar(graph)
-    if not forests:
-        return pack_components([], boxes)
-    best_lay = None
-    best_val = None
-    for forest in forests:
-        lay = solve_star_forest(forest, boxes, graph, eps, corner_candidates)
-        val = realized_profit(lay, graph)
-        if best_val is None or val > best_val:
-            best_val, best_lay = val, lay
-    return best_lay
+    best = max(
+        (solve_star_forest(f, boxes, graph, eps, corner_candidates) for f in partition_planar(graph)),
+        key=lambda lay: realized_profit(lay, graph),
+        default=None,
+    )
+    return pack_components([], boxes) if best is None else best
 
 
 def _block_path(vblocks, bverts, a: int, b: int) -> Optional[List[Tuple[int, int]]]:

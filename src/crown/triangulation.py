@@ -53,15 +53,19 @@ class InstanceViolation:
     detail: str
 
 
-def _trace_faces(rotation: Mapping[str, Tuple[str, ...]]) -> List[List[str]]:
-    """Orbits of the face-tracing map; each orbit listed by visited vertex."""
+def _trace_faces(
+    rotation: Mapping[str, Tuple[str, ...]], nbrs: Mapping[str, List[str]]
+) -> List[List[str]]:
+    """Orbits of the face-tracing map; each orbit listed by visited vertex
+    and started from its least dart (u, v), u in ``nbrs`` order and v in
+    ``nbrs[u]``."""
     nxt = {}
     for v, rot in rotation.items():
         for i, u in enumerate(rot):
             nxt[(u, v)] = (v, rot[(i + 1) % len(rot)])
     faces = []
     seen = set()
-    for dart in sorted(nxt):
+    for dart in ((u, v) for u, vs in nbrs.items() for v in vs):
         if dart in seen:
             continue
         face = []
@@ -72,17 +76,6 @@ def _trace_faces(rotation: Mapping[str, Tuple[str, ...]]) -> List[List[str]]:
             d = nxt[d]
         faces.append(face)
     return faces
-
-
-def _cyclic_match(seq: Sequence[str], target: Sequence[str]) -> bool:
-    if len(seq) != len(target):
-        return False
-    doubled = list(seq) + list(seq)
-    fwd = list(target)
-    rev = list(target)[::-1]
-    return any(
-        doubled[i : i + len(seq)] in (fwd, rev) for i in range(len(seq))
-    )
 
 
 def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation]:
@@ -112,12 +105,15 @@ def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation
     if len(seen) != len(verts):
         return InstanceViolation("connected", "graph is not connected")
 
+    nbrs = {v: sorted(inst.rotation[v]) for v in verts}
     n_edges = sum(len(rot) for rot in inst.rotation.values()) // 2  # each edge listed at both ends
-    faces = _trace_faces(inst.rotation)
+    faces = _trace_faces(inst.rotation, nbrs)
     if len(verts) - n_edges + len(faces) != 2:
         return InstanceViolation("planar", "rotation system is not a plane embedding")
 
-    outer_faces = [f for f in faces if _cyclic_match(f, inst.outer)]
+    ring = inst.outer + inst.outer
+    rings = {r[i : i + 4] for r in (ring, ring[::-1]) for i in range(4)}  # both directions
+    outer_faces = [f for f in faces if tuple(f) in rings]
     if len(outer_faces) != 1:
         return InstanceViolation("outer", f"outer cycle {inst.outer} bounds {len(outer_faces)} faces")
     inner = [f for f in faces if f is not outer_faces[0]]
@@ -128,8 +124,8 @@ def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation
 
     face_tris: Set[frozenset] = {frozenset(f) for f in inner}
     for a in verts:
-        for b in sorted(u for u in adj[a] if u > a):
-            for c in sorted(u for u in adj[a] & adj[b] if u > b):
+        for b in (b for b in nbrs[a] if b > a):
+            for c in (c for c in nbrs[b] if c > b and c in adj[a]):
                 if frozenset((a, b, c)) not in face_tris:
                     return InstanceViolation("separating", f"triangle ({a}, {b}, {c}) bounds no face")
     return None

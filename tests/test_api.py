@@ -264,9 +264,9 @@ SOURCE_RULES = [
     # Output files are written all or none, by one writer.
     ("file-write", _file_write, {"cli._write_files"}),
     # Trails, alternating paths and searches run on explicit stacks, so a
-    # long one never meets the interpreter's recursion limit.  These two
-    # recurse only as deep as the witness or document they write.
-    ("recursion", _self_call, {"cli._jsonable", "serialize._write"}),
+    # long one never meets the interpreter's recursion limit.  One writer
+    # recurses, only as deep as the document it writes.
+    ("recursion", _self_call, {"serialize._write"}),
 ]
 
 

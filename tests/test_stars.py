@@ -376,6 +376,17 @@ def test_max_crown_stars_path():
     assert realized_profit(lay, g) >= 1
 
 
+def test_max_crown_stars_keeps_the_first_of_tied_forests():
+    # the path splits into the stars a-b and b-c, each realizing profit 1
+    g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
+    boxes = unit_boxes("abc")
+    forests = partition_planar(g)
+    first, second = (solve_star_forest(f, boxes, g, EPS) for f in forests)
+    assert realized_profit(first, g) == realized_profit(second, g) == 1
+    assert first != second
+    assert max_crown_stars(g, boxes, EPS) == first
+
+
 def test_max_crown_stars_names_the_first_vertex_without_box():
     g = ProfitGraph("abc", {("a", "b"): rat(1), ("b", "c"): rat(1)})
     with pytest.raises(ParameterError, match="'c'"):

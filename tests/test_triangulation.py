@@ -19,6 +19,7 @@ from crown.geometry import BoxSpec, Layout, detect_contacts, rat
 from crown.triangulation import (
     InstanceViolation,
     TriangulationInstance,
+    _trace_faces,
     realize_triangulation,
     validate_instance,
 )
@@ -144,6 +145,27 @@ def test_separating_triangle_is_named():
     assert validate_instance(inst) == InstanceViolation(
         "separating", "triangle (E, N, t0) bounds no face"
     )
+
+
+def test_faces_are_traced_in_sorted_dart_order():
+    # walking each vertex's sorted neighbours visits the darts in sorted
+    # order, so faces (and the first violation named) keep their order
+    rng = random.Random(31337)
+    for _ in range(30):
+        inst = rand_guillotine_dual(rng, rng.randrange(1, 61), False, rng.randrange(4, 17))
+        if inst is None:
+            continue
+        rot = inst.rotation
+        nxt = {(u, v): (v, r[(i + 1) % len(r)]) for v, r in rot.items() for i, u in enumerate(r)}
+        want, seen = [], set()
+        for dart in sorted(nxt):
+            face = []
+            while dart not in seen:
+                seen.add(dart)
+                face.append(dart[0])
+                dart = nxt[dart]
+            want += [face] if face else []
+        assert _trace_faces(rot, {v: sorted(rot[v]) for v in sorted(rot)}) == want
 
 
 def test_five_vertex_dual_realizes_all_edges():
