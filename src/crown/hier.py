@@ -13,7 +13,7 @@ order of v's predecessors below it.  For a vertex with no outgoing edge
 (the sink) the list is taken as already starting at the leftmost child.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -34,16 +34,27 @@ class EmbeddedDag:
         object.__setattr__(
             self, "rotation", {v: tuple(r) for v, r in self.rotation.items()}
         )
-        ins: Dict[str, set] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            if u not in ins or v not in ins:
-                raise ParameterError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            ins[v].add(u)
-        object.__setattr__(self, "_ins", ins)
+        ins: Dict[str, List[str]] = {v: [] for v in self.vertices}  # one entry per edge
+        outs: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        if len(ins) != len(self.vertices):
+            twice = next(v for v, n in Counter(self.vertices).items() if n > 1)
+            raise ParameterError(f"vertex {twice!r} is repeated")
+        for e in self.edges:
+            try:
+                u, v = e
+                outs[u].append(v)
+                ins[v].append(u)
+            except (ValueError, KeyError):
+                raise ParameterError(f"edge {e!r} is not a pair of vertices") from None
+        for v in self.rotation:
+            if v not in ins:
+                raise ParameterError(f"rotation at {v!r}, which is not a vertex")
+        object.__setattr__(self, "_in", ins)
+        object.__setattr__(self, "_out", outs)
+        object.__setattr__(self, "_ins", {v: set(us) for v, us in ins.items()})
 
     def sink(self) -> str:
-        outs = {u for u, _ in self.edges}
-        sinks = [v for v in self.vertices if v not in outs]
+        sinks = [v for v in self.vertices if not self._out[v]]
         if len(sinks) != 1:
             raise ParameterError(f"expected exactly one sink, found {sinks}")
         return sinks[0]
@@ -77,36 +88,25 @@ def validate_embedding(dag: EmbeddedDag) -> Optional[EmbeddingViolation]:
     incoming and outgoing edges are contiguous in the rotation.  Every
     vertex then reaches the sink, so that needs no check of its own.
     """
-    incident: Dict[str, List[str]] = {v: [] for v in dag.vertices}
-    for u, v in dag.edges:
-        incident[u].append(v)
-        incident[v].append(u)
     for v in sorted(dag.vertices):
-        if sorted(dag.rotation.get(v, ())) != sorted(incident[v]):
+        if sorted(dag.rotation.get(v, ())) != sorted(dag._in[v] + dag._out[v]):
             return EmbeddingViolation(
                 "rotation", v, f"rotation at {v!r} does not list its neighbors"
             )
 
-    outs: Dict[str, List[str]] = {v: [] for v in dag.vertices}
-    indeg = {v: 0 for v in dag.vertices}
-    for u, v in dag.edges:
-        outs[u].append(v)
-        indeg[v] += 1
-    queue = sorted(v for v in dag.vertices if indeg[v] == 0)
-    seen = 0
-    work = list(queue)
+    indeg = {v: len(dag._in[v]) for v in dag.vertices}
+    work = sorted(v for v in dag.vertices if not indeg[v])
     while work:
         v = work.pop()
-        seen += 1
-        for w in outs[v]:
+        for w in dag._out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 work.append(w)
-    if seen != len(dag.vertices):
+    if any(indeg.values()):  # a vertex on or past a cycle keeps an in-edge
         culprit = min(v for v in dag.vertices if indeg[v] > 0)
         return EmbeddingViolation("cycle", culprit, f"directed cycle through {culprit!r}")
 
-    sinks = sorted(v for v in dag.vertices if not outs[v])
+    sinks = sorted(v for v in dag.vertices if not dag._out[v])
     if len(sinks) != 1:
         return EmbeddingViolation(
             "sink", sinks[0] if sinks else None, f"expected one sink, found {sinks}"
@@ -226,17 +226,19 @@ def solve_x(
     widths = {v: rat(w) for v, w in widths.items()}
     unit, (delta_u, *w_u) = on_unit([delta, *widths.values()])
     index = {v: k for k, v in enumerate(widths)}
-    for v in (*(v for pair in (*edges, *order) for v in pair), anchor):
-        if v not in index:
-            raise ParameterError(f"vertex {v!r} has no width")
     out: List[List[Tuple[int, int, Tuple[str, str, str]]]] = [[] for _ in index]
-    for i, j in edges:
-        a, b = index[i], index[j]
-        out[a].append((b, w_u[a] - delta_u, ("edge", i, j)))
-        out[b].append((a, w_u[b] - delta_u, ("edge", i, j)))
-    for a, b in order:
-        out[index[b]].append((index[a], -w_u[index[a]], ("order", a, b)))
-    dist = _queue_distances(out, index[anchor])
+    try:
+        for i, j in edges:
+            a, b = index[i], index[j]
+            out[a].append((b, w_u[a] - delta_u, ("edge", i, j)))
+            out[b].append((a, w_u[b] - delta_u, ("edge", i, j)))
+        for i, j in order:
+            a, b = index[i], index[j]
+            out[b].append((a, -w_u[a], ("order", i, j)))
+        source = index[anchor]
+    except KeyError as err:
+        raise ParameterError(f"vertex {err.args[0]!r} has no width") from None
+    dist = _queue_distances(out, source)
     missing = sorted(v for v, d in zip(widths, dist) if d is None)
     if missing:
         raise ParameterError(f"vertices {missing} unconstrained from anchor {anchor!r}")

@@ -38,13 +38,12 @@ class TriangulationInstance:
             self, "rotation", {v: tuple(r) for v, r in self.rotation.items()}
         )
         object.__setattr__(self, "outer", tuple(self.outer))
+        # keyed by every box and rotation key: a box with no rotation has no neighbour
+        adj = {v: set(self.rotation.get(v, ())) for v in {**self.boxes, **self.rotation}}
+        object.__setattr__(self, "_adj", adj)
 
     def edges(self) -> List[Tuple[str, str]]:
-        out = set()
-        for v, rot in self.rotation.items():
-            for u in rot:
-                out.add((u, v) if u < v else (v, u))
-        return sorted(out)
+        return sorted({(min(u, v), max(u, v)) for v, us in self._adj.items() for u in us})
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,14 @@ def _trace_faces(
 
 def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation]:
     """First structural violation, or None when the instance is well formed."""
-    verts = sorted(inst.rotation)
-    adj = {v: set(rot) for v, rot in inst.rotation.items()}
+    adj = inst._adj
+    verts = sorted(adj)
     if len(set(inst.outer)) != 4 or any(v not in adj for v in inst.outer):
         return InstanceViolation("outer", f"outer cycle {inst.outer} must be 4 distinct vertices")
     for v in verts:
         if v not in inst.boxes:
             return InstanceViolation("boxes", f"no box for vertex {v!r}")
-        rot = inst.rotation[v]
+        rot = inst.rotation.get(v, ())
         if len(adj[v]) != len(rot) or v in adj[v]:
             return InstanceViolation("rotation", f"rotation at {v!r} repeats or loops")
         for u in rot:
@@ -105,7 +104,7 @@ def validate_instance(inst: TriangulationInstance) -> Optional[InstanceViolation
     if len(seen) != len(verts):
         return InstanceViolation("connected", "graph is not connected")
 
-    nbrs = {v: sorted(inst.rotation[v]) for v in verts}
+    nbrs = {v: sorted(adj[v]) for v in verts}
     n_edges = sum(len(rot) for rot in inst.rotation.values()) // 2  # each edge listed at both ends
     faces = _trace_faces(inst.rotation, nbrs)
     if len(verts) - n_edges + len(faces) != 2:
@@ -187,8 +186,7 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
     if violation is not None:
         raise InvalidInstanceError(f"{violation.kind}: {violation.detail}")
     vn, ve, vs, vw = inst.outer
-    adj = {v: set(inst.rotation[v]) for v in inst.rotation}
-    inner = sorted(set(inst.rotation) - set(inst.outer))
+    inner = sorted(set(inst._adj) - set(inst.outer))
 
     unit, counts = on_unit(d for b in inst.boxes.values() for d in (b.w, b.h))
     dims = dict(zip(inst.boxes, zip(counts[::2], counts[1::2])))
@@ -200,7 +198,7 @@ def realize_triangulation(inst: TriangulationInstance) -> Layout:
 
     while unplaced:
         for i, qx, qy, wall, floor in _concavities(stair, tops):
-            v = min(adj[wall] & adj[floor] & unplaced, default=None)
+            v = min(inst._adj[wall] & inst._adj[floor] & unplaced, default=None)
             if v is not None and _place(stair, tops, i, v, *dims[v]):
                 corner[v] = (qx, qy)
                 unplaced.discard(v)

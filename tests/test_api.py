@@ -120,6 +120,9 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
             Fraction(1, 4), True,
         ),
         lambda: top_stems(preprocess(TEXT), True),
+        lambda: EmbeddedDag(("a", "b"), (("a", "b", "c"),), {}),
+        lambda: EmbeddedDag(("a", "b", "a"), (("a", "b"),), {}),
+        lambda: EmbeddedDag(("a", "b"), (("a", "b"),), {"z": ()}),
     ],
     ids=[
         "box-zero-width", "box-negative-height", "box-bad-string",
@@ -137,6 +140,7 @@ TEXT = "alpha beta gamma. alpha beta. beta gamma delta.\n"
         "box-dimensions-unknown-word", "baseline-none-seed", "baseline-float-seed",
         "baseline-list-seed", "baseline-bool-seed", "box-bool",
         "solve-star-bool-corners", "max-stars-bool-corners", "top-stems-bool-k",
+        "dag-edge-not-a-pair", "dag-repeated-vertex", "dag-rotation-at-no-vertex",
     ],
 )
 def test_bad_parameters_raise_crown_errors(build):
@@ -243,6 +247,17 @@ def _self_call(node) -> bool:
     )
 
 
+def _frozen_write(node) -> bool:
+    """A function other than ``__post_init__`` that calls ``object.__setattr__``."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return node.name != "__post_init__" and any(
+        isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "__setattr__"
+        and getattr(call.func.value, "id", None) == "object"
+        for call in ast.walk(node)
+    )
+
+
 # (rule, predicate, the top-level definitions allowed to match it).
 SOURCE_RULES = [
     # The spiral of the random baseline is the one float path left; an
@@ -267,6 +282,9 @@ SOURCE_RULES = [
     # long one never meets the interpreter's recursion limit.  One writer
     # recurses, only as deep as the document it writes.
     ("recursion", _self_call, {"serialize._write"}),
+    # A frozen instance derives its indexes once, in __post_init__; a later
+    # write would leave them stale.
+    ("frozen-write", _frozen_write, set()),
 ]
 
 

@@ -270,6 +270,30 @@ def one_failure(capsys, argv):
     return code, json.loads(line)
 
 
+@pytest.mark.parametrize(
+    "edit, report",
+    [
+        # "lost" has no rotation entry, so no neighbour: the graph is not connected
+        (
+            lambda doc: doc["boxes"].append({"id": "lost", "w": "1/1", "h": "1/1"}),
+            {"error": "invalid-instance", "detail": "connected: graph is not connected"},
+        ),
+        (
+            lambda doc: doc["outer"].update(N="zz"),
+            {"error": "format", "detail": "triangulation.outer.N: unknown id 'zz'"},
+        ),
+    ],
+    ids=["box-without-rotation", "outer-unknown-id"],
+)
+def test_tri_document_fault_exits_2(tmp_path, capsys, edit, report):
+    path = tmp_path / "tri.json"
+    wheel_instance(path, 4)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert one_failure(capsys, ["tri", path]) == (2, report)
+
+
 @pytest.mark.parametrize("content", [None, "caf\xe9".encode("latin-1")], ids=["missing", "latin-1"])
 @pytest.mark.parametrize("command", ["layout", "hier", "tri"])
 def test_unreadable_input_is_an_io_error(tmp_path, capsys, command, content):

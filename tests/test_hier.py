@@ -169,6 +169,21 @@ def test_validate_embedding_names_each_violation(edges, rotation, want):
     assert validate_embedding(dag_of(edges, rotation)) == EmbeddingViolation(*want)
 
 
+def test_a_doubled_edge_is_listed_twice_at_each_end():
+    # edge (c, s) given twice: each end's rotation lists the other twice,
+    # and the boxes land where the single edge puts them
+    edges = [("c", "s"), ("c", "s")]
+    once = dag_of(edges, {"c": ("s",), "s": ("c",)})
+    assert validate_embedding(once) == EmbeddingViolation(
+        "rotation", "c", "rotation at 'c' does not list its neighbors"
+    )
+    twice = dag_of(edges, {"c": ("s", "s"), "s": ("c", "c")})
+    assert validate_embedding(twice) is None
+    single = dag_of(edges[:1], {"c": ("s",), "s": ("c",)})
+    boxes = boxes_of({"c": (1, 1), "s": (2, 1)})
+    assert solve_hier(twice, boxes).pos == solve_hier(single, boxes).pos
+
+
 @st.composite
 def small_digraphs(draw):
     """A loopless digraph on 1..6 vertices, each rotation a drawn

@@ -74,8 +74,15 @@ QUADS = {
     "W": ("N", "S"),
     "t0": ("N", "S"),
 }
-BAD_INSTANCES = {  # name: (rotation, vertex without a box, outer, violation)
-    "boxes": (WHEEL_ROTATION, "t0", "NESW", ("boxes", "no box for vertex 't0'")),
+BAD_INSTANCES = {  # name: (rotation, box ids or None for the rotation's, outer, violation)
+    "boxes": (WHEEL_ROTATION, "NESW", "NESW", ("boxes", "no box for vertex 't0'")),
+    # a box with no rotation entry is a vertex with no neighbours
+    "lost": (
+        WHEEL_ROTATION,
+        [*WHEEL_ROTATION, "lost"],
+        "NESW",
+        ("connected", "graph is not connected"),
+    ),
     "repeat": (
         {**WHEEL_ROTATION, "E": ("S", "t0", "N", "S")},
         None,
@@ -125,8 +132,8 @@ BAD_INSTANCES = {  # name: (rotation, vertex without a box, outer, violation)
 @pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
 def test_validate_instance_names_each_violation(name):
     # the separating verdict is pinned by test_separating_triangle_is_named
-    rotation, no_box, outer, want = BAD_INSTANCES[name]
-    dims = {v: (2, 2) for v in rotation if v != no_box}
+    rotation, box_ids, outer, want = BAD_INSTANCES[name]
+    dims = {v: (2, 2) for v in box_ids or rotation}
     assert validate_instance(inst_of(dims, rotation, tuple(outer))) == InstanceViolation(*want)
 
 
